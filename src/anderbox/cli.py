@@ -120,8 +120,7 @@ def _cmd_spectrum(cfg: ExperimentConfig) -> int:
         draw = sample(box, (max(band[0], 1), max(band[1], 1)), cfg.seed)
         en = enhance(draw, cfg.eps, cfg.cutoff())
         op = operator_from_noise(en, N, beta=cfg.beta, storage="matrix-free")
-    vals = eigenvalues(op, cfg.n_eigs, method="lanczos", tol=1e-9,
-                       seed=cfg.seed).values
+    vals = eigenvalues(op, cfg.n_eigs, tol=1e-9, seed=cfg.seed).values
     wall = (time.perf_counter() - t0) * 1e3
     for n, lam in enumerate(vals, start=1):
         rec.add(cfg.L, cfg.eps, cfg.beta, cfg.seed, n, lam, wall)
@@ -163,7 +162,7 @@ def _cmd_box_bounds(cfg: ExperimentConfig) -> int:
     rows = rep.pop("rows")
     rec = StudyRecord()
     for row in rows:
-        rec.add(cfg.L, cfg.eps, cfg.beta, row["seed"], 1, row["lam1"], 0.0)
+        rec.add(cfg.L, cfg.eps, cfg.beta, row["seed"], 1, row["lam1"], row["wall_ms"])
     code = 0 if all(rep[k] == 0 for k in ("upper_a", "upper_b", "lower", "mono")) else 1
     _finish(cfg, "box_bounds", rec, rep)
     return code

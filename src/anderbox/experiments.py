@@ -71,6 +71,8 @@ class ExperimentConfig:
             raise ContractError("L ladder must be increasing")
         if self.replicas < 1:
             raise ContractError("replica count must be >= 1")
+        if not self.eps > 0:
+            raise ContractError(f"eps must be > 0, got {self.eps}")
 
     def cutoff(self) -> CutoffProfile:
         return SMOOTH if self.profile == "smooth" else INDICATOR
@@ -141,8 +143,7 @@ def _growth_replica(args):
         else:
             pot = restrict(draw, cfg.eps, box, 2 * N, tau) * cfg.beta
             op = assemble(pot, box, N, storage="matrix-free")
-        vals = eigenvalues(op, cfg.n_eigs, method="lanczos", tol=1e-8,
-                           seed=seed).values
+        vals = eigenvalues(op, cfg.n_eigs, tol=1e-8, seed=seed).values
         wall = (time.perf_counter() - t0) * 1e3
         out.append((L, seed, vals, wall))
     return out
@@ -205,7 +206,7 @@ def _scaling_replica(args):
     draw = sample(box, band, seed)
     xi = mollify(draw, eps, tau)
     op = assemble(xi * amp, box, N, storage="matrix-free")
-    vals = eigenvalues(op, 1, method="lanczos", tol=1e-8, seed=seed).values
+    vals = eigenvalues(op, 1, tol=1e-8, seed=seed).values
     return float(vals[0]), (time.perf_counter() - t0) * 1e3
 
 
@@ -266,7 +267,7 @@ def _tail_replica(args):
     draw = sample(box, band, seed)
     xi = mollify(draw, eps, SMOOTH)
     op = assemble(xi * beta, box, N, storage="matrix-free")
-    lam = float(eigenvalues(op, 1, method="lanczos", tol=1e-7, seed=seed).values[0])
+    lam = float(eigenvalues(op, 1, tol=1e-7, seed=seed).values[0])
     return lam, (time.perf_counter() - t0) * 1e3
 
 
@@ -337,7 +338,7 @@ def _small_noise_replica(args):
     draw = sample(box, band, seed)
     xi = mollify(draw, moll, SMOOTH)
     op = assemble(xi * amp, box, N, storage="matrix-free")
-    lam = float(eigenvalues(op, 1, method="lanczos", tol=1e-9, seed=seed).values[0])
+    lam = float(eigenvalues(op, 1, tol=1e-9, seed=seed).values[0])
     return lam, (time.perf_counter() - t0) * 1e3
 
 
@@ -422,8 +423,7 @@ def chi_ascent(box: BoxDomain, N: int, max_iter: int = 200, tol: float = 1e-10,
     psi = None
     for it in range(max_iter):
         op = assemble(V, box, N, storage="matrix-free", grid_M=M)
-        r = eigenvalues(op, 1, vectors=True, method="lanczos", tol=1e-8,
-                        v0=vec, seed=seed)
+        r = eigenvalues(op, 1, vectors=True, tol=1e-8, v0=vec, seed=seed)
         vec = r.vectors[:, 0]
         psi = op.coeff_field(vec)
         psi = psi * (1.0 / psi.l2_norm())
@@ -491,20 +491,19 @@ def single_mode_lower_bound(L: float) -> float:
 
 # -- rate-function infimum -------------------------------------------------------
 
-def _lambda_n_of(op_potential, box, N, n, seed=0):
-    op = assemble(op_potential, box, N, storage="matrix-free")
-    return eigenvalues(op, n, method="lanczos", tol=1e-10, seed=seed)
-
-
 def _calibrate_mu(psi_sq: np.ndarray, box: BoxDomain, N, n: int, a: float,
-                  M, seed=0) -> tuple[float, float]:
+                  M, seed=0) -> float:
     """Find mu >= 0 with lambda_n(mu * psi_sq) = a (monotone in mu)."""
     from scipy.optimize import brentq
 
+    block = None  # warm start: each solve begins from the last one's vectors
+
     def lam(mu):
+        nonlocal block
         op = assemble(psi_sq * mu, box, N, storage="matrix-free", grid_M=M)
-        return float(eigenvalues(op, n, method="lanczos", tol=1e-10,
-                                 seed=seed).values[n - 1])
+        r = eigenvalues(op, n, vectors=True, tol=1e-10, v0=block, seed=seed)
+        block = r.vectors
+        return float(r.values[n - 1])
 
     lo, hi = 0.0, 1.0
     f_hi = lam(hi) - a
@@ -515,8 +514,7 @@ def _calibrate_mu(psi_sq: np.ndarray, box: BoxDomain, N, n: int, a: float,
         tries += 1
         if tries > 60:
             raise ConvergenceError("cannot bracket the eigenvalue level")
-    mu = brentq(lambda m: lam(m) - a, lo, hi, xtol=1e-12, rtol=1e-12)
-    return float(mu), lam(mu)
+    return float(brentq(lambda m: lam(m) - a, lo, hi, xtol=1e-12, rtol=1e-12))
 
 
 def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
@@ -549,19 +547,19 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
             raise ContractError(f"V0 must be sampled on the grid {M}")
     V /= math.sqrt(float(np.sum(V**2)) * quad_w)
 
-    mu, _ = _calibrate_mu(V, box, N, n, a, M, seed=seed)
+    mu = _calibrate_mu(V, box, N, n, a, M, seed=seed)
     best = 0.5 * mu**2
     best_V = V * mu
     energies = [best]
     for it in range(max_iter):
         op = assemble(best_V, box, N, storage="matrix-free", grid_M=M)
-        r = eigenvalues(op, n, vectors=True, method="lanczos", tol=1e-10, seed=seed)
+        r = eigenvalues(op, n, vectors=True, tol=1e-10, seed=seed)
         psi = op.coeff_field(r.vectors[:, n - 1])
         psi = psi * (1.0 / psi.l2_norm())
         _, _, samples = _l4sq_and_grad(psi, M)
         cand = samples**2
         cand /= math.sqrt(float(np.sum(cand**2)) * quad_w)
-        mu, _ = _calibrate_mu(cand, box, N, n, a, M, seed=seed)
+        mu = _calibrate_mu(cand, box, N, n, a, M, seed=seed)
         energy = 0.5 * mu**2
         if energy < best - 1e-12:
             best = energy
@@ -575,10 +573,11 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
         V -> radius * psi_n^2 / |psi_n^2|_2; returns the best level seen."""
         Vd = V_start * (radius / math.sqrt(float(np.sum(V_start**2)) * quad_w))
         lam = -np.inf
+        block = None
         for _ in range(iters):
             op = assemble(Vd, box, N, storage="matrix-free", grid_M=M)
-            r = eigenvalues(op, n, vectors=True, method="lanczos", tol=1e-10,
-                            seed=seed)
+            r = eigenvalues(op, n, vectors=True, tol=1e-10, v0=block, seed=seed)
+            block = r.vectors
             lam = max(lam, float(r.values[n - 1]))
             psi = op.coeff_field(r.vectors[:, n - 1])
             psi = psi * (1.0 / psi.l2_norm())
@@ -587,7 +586,7 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
             nxt *= radius / math.sqrt(float(np.sum(nxt**2)) * quad_w)
             Vd = nxt
         op = assemble(Vd, box, N, storage="matrix-free", grid_M=M)
-        return max(lam, float(eigenvalues(op, n, method="lanczos", tol=1e-10,
+        return max(lam, float(eigenvalues(op, n, tol=1e-10, v0=block,
                                           seed=seed).values[n - 1]))
 
     # handshake: re-maximizing over the final energy ball, warm-started

@@ -61,6 +61,9 @@ def run(verbose: bool = True) -> int:
     vals = eigenvalues(op, 3).values
     exact = np.array([-2, -5, -5]) * np.pi**2
     check("zero-potential spectrum", np.abs(vals - exact).max() < 1e-8)
+    r = eigenvalues(assemble(None, box, 16, storage="matrix-free"), 3, tol=1e-9)
+    check("zero-potential spectrum, matrix-free iterative",
+          np.abs(r.values - exact).max() < 1e-8 and r.residuals.max() <= 1e-9)
 
     ims = ims_partition(2.0, 0.5)
     tgrid = np.linspace(-3, 7, 2001)

@@ -71,6 +71,23 @@ class TestCLI:
         assert manifest["config"]["L"] == 1.0
         assert manifest["outputs"]
 
+    def test_nonpositive_eps_exits_nonzero(self, tmp_path, capsys):
+        for eps in ("0", "-0.5"):
+            rc = main(["spectrum", "--out", str(tmp_path), "--set", f"eps={eps}",
+                       "--set", "L=1.0", "--set", "nu=8"])
+            assert rc == 2
+            assert "error: eps must be > 0" in capsys.readouterr().err
+
+    def test_box_bounds_rows_timed(self, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["box-bounds", "--out", str(out), "--seed", "1",
+                   "--set", "L=2.0", "--set", "r=1.0", "--set", "a_overlap=0.5",
+                   "--set", "replicas=2", "--set", "nu=8"])
+        assert rc == 0
+        rows = (out / "box_bounds.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(float(r.split(",")[6]) > 0 for r in rows)
+
     def test_renorm_slope_column(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["renorm", "--out", str(out), "--set", "L=1.0"])

@@ -22,7 +22,6 @@ from anderbox.hamiltonian import (
     spectra_to_csv,
 )
 from anderbox.noise import INDICATOR, SMOOTH, enhance, restrict, sample
-from anderbox.solvers import lanczos_top
 
 from oracles import ims_fd_residual
 
@@ -98,13 +97,31 @@ class TestEigenvalues:
             rel = np.abs(eb - es / beta**2) / np.abs(eb)
             assert rel.max() < 1e-8
 
-    def test_lanczos_matches_dense(self):
+    def test_iterative_matches_dense(self):
         V = neumann_field(10, seed=5)
         dense = eigenvalues(assemble(V, BOX, 14), 5).values
         free = eigenvalues(assemble(V, BOX, 14, storage="matrix-free"), 5,
-                           method="lanczos", tol=1e-10)
+                           tol=1e-10)
         assert np.abs(free.values - dense).max() < 1e-9
         assert free.residuals.max() < 1e-9
+
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_iterative_matches_eigh(self, N, n, seed):
+        # random Neumann potentials and the zero potential, whose top four
+        # (-2, -5, -5, -8) pi^2 / L^2 hold a degenerate pair; dims 64..1024
+        L, tol = 4.0, 1e-9
+        box = BoxDomain.square(L)
+        V = None if seed is None else neumann_field(6, seed=100 + seed, box=box)
+        free = assemble(V, box, N, storage="matrix-free")
+        ref = np.linalg.eigvalsh(assemble(V, box, N, storage="dense").matrix)[::-1][:n]
+        r = eigenvalues(free, n, vectors=True, tol=tol, seed=N + n)
+        assert np.abs(r.values - ref).max() < 1e-9
+        AV = np.column_stack([free.apply(v) for v in r.vectors.T])
+        true_res = np.linalg.norm(AV - r.vectors * r.values, axis=0)
+        assert true_res.max() <= tol
+        assert np.allclose(np.linalg.norm(r.vectors, axis=0), 1.0)
 
     def test_multiplicity_reported_adjacent(self):
         vals = eigenvalues(assemble(None, BOX, 12), 4).values
@@ -117,13 +134,12 @@ class TestEigenvalues:
         with pytest.raises(ContractError):
             eigenvalues(op, op.dim + 1)
 
-    def test_lanczos_nonconvergence_reports_residuals(self):
-        rng = np.random.default_rng(6)
-        A = rng.standard_normal((600, 600))
-        A = (A + A.T) / 2 + np.diag(-np.linspace(0, 5000, 600))
+    def test_nonconvergence_reports_residuals(self):
+        op = assemble(neumann_field(8, seed=6), BOX, 12, storage="matrix-free")
         with pytest.raises(ConvergenceError) as err:
-            lanczos_top(lambda x: A @ x, 600, 3, tol=1e-14, sweep=12, max_sweeps=1)
+            eigenvalues(op, 3, tol=1e-30)
         assert err.value.residuals is not None
+        assert len(err.value.residuals) == 3
 
 
 class TestMinMax:
@@ -224,14 +240,13 @@ class TestBoxBounds:
         V = neumann_field(4, seed=15, box=box)
         N = 20
         op = assemble(V, box, N, storage="matrix-free")
-        lam = eigenvalues(op, 1, method="lanczos", tol=1e-9).values[0]
+        lam = eigenvalues(op, 1, tol=1e-9).values[0]
         part = ims_partition(r, a)
         M = op._grid_M
         phi = part.phi_grid(box, M)
         vg = potential_on_grid(V, box, M)
         lam_pen = eigenvalues(assemble(vg - phi, box, N, storage="matrix-free",
-                                       grid_M=M), 1, method="lanczos",
-                              tol=1e-9).values[0]
+                                       grid_M=M), 1, tol=1e-9).values[0]
         assert lam <= lam_pen + phi.max() + 1e-9
 
     def test_coupled_noise_draws(self):
@@ -266,8 +281,7 @@ class TestNoiseOperator:
                 sub = BoxDomain(y, (L, L))
                 pot = restrict(draw, eps, sub, 2 * N, INDICATOR)
                 op = assemble(pot, sub, N, storage="matrix-free")
-                vals.append(eigenvalues(op, 1, method="lanczos",
-                                        tol=1e-8).values[0])
+                vals.append(eigenvalues(op, 1, tol=1e-8).values[0])
         p = stats.ks_2samp(a_vals, b_vals).pvalue
         assert p >= 0.01
 
