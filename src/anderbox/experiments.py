@@ -15,7 +15,6 @@ import math
 import time
 
 import numpy as np
-from scipy import stats as _stats
 
 from .errors import ContractError, ConvergenceError
 from .geometry import (
@@ -73,6 +72,8 @@ class ExperimentConfig:
             raise ContractError("replica count must be >= 1")
         if not self.eps > 0:
             raise ContractError(f"eps must be > 0, got {self.eps}")
+        if self.profile not in ("smooth", "indicator"):
+            raise ContractError(f"profile must be smooth or indicator, got {self.profile!r}")
 
     def cutoff(self) -> CutoffProfile:
         return SMOOTH if self.profile == "smooth" else INDICATOR
@@ -219,6 +220,8 @@ def scaling_law_test(cfg: ExperimentConfig) -> StudyRecord:
     by beta^2 (1/2pi) log alpha.  At matched Galerkin truncation the two
     laws agree exactly; a two-sample KS test reports statistic and p-value.
     """
+    from scipy.stats import ks_2samp
+
     a = cfg.alpha
     rec = StudyRecord(config=asdict(cfg))
     tau = cfg.cutoff()
@@ -247,7 +250,7 @@ def scaling_law_test(cfg: ExperimentConfig) -> StudyRecord:
         v = lam / a**2 - shift_B + cfg.beta**2 * TWO_PI_INV * math.log(a)
         rec.add(cfg.L / a, cfg.eps / a, a * cfg.beta, s, 1, v, wall)
         B.append(v)
-    ks = _stats.ks_2samp(A, B)
+    ks = ks_2samp(A, B)
     rec.summary = {
         "ks_stat": float(ks.statistic),
         "ks_pvalue": float(ks.pvalue),

@@ -27,7 +27,6 @@ from .geometry import (
     SpectralField,
     _pair,
     _synthesis_axis,
-    _analysis_axis,
     midpoint_nodes,
 )
 from .noise import EnhancedNoise, restrict
@@ -60,31 +59,30 @@ class GalerkinOperator:
     def dim(self) -> int:
         return self.trunc[0] * self.trunc[1]
 
-    # coefficient layout: flattened (k1-1, k2-1) row-major
-    def _embed(self, c: np.ndarray) -> np.ndarray:
-        full = np.zeros((self.trunc[0] + 1, self.trunc[1] + 1))
-        full[1:, 1:] = c.reshape(self.trunc)
-        return full
-
-    def _extract(self, full: np.ndarray) -> np.ndarray:
-        return full[1:, 1:].ravel()
-
     def apply(self, c: np.ndarray) -> np.ndarray:
+        """A c for one coefficient vector (dim,) or a block of columns
+        (dim, k); a block costs one sine transform per axis and direction."""
         if self.storage == "dense":
             return self.matrix @ c
-        out = self.diag * c
+        C = np.asarray(c).reshape(self.dim, -1)
+        out = self.diag[:, None] * C
         if self._v_grid is not None:
-            full = self._embed(c)
-            g = _synthesis_axis(full, DIRICHLET[0], self.box.sides[0], self._grid_M[0], 0)
-            g = _synthesis_axis(g, DIRICHLET[1], self.box.sides[1], self._grid_M[1], 1)
+            (N0, N1), (M0, M1) = self.trunc, self._grid_M
+            # block axis first; Dirichlet modes 1..N sit in DST slots 0..N-1
+            g = _fft.dst(C.T.reshape(-1, N0, N1), type=3, n=M0, axis=1)
+            g = _fft.dst(g, type=3, n=M1, axis=2, overwrite_x=True)
             g *= self._v_grid
-            w = _analysis_axis(g, DIRICHLET[0], self.box.sides[0], self.trunc[0], 0)
-            w = _analysis_axis(w, DIRICHLET[1], self.box.sides[1], self.trunc[1], 1)
-            out = out + self._extract(w)
-        return out
+            w = _fft.dst(g, type=2, axis=2, overwrite_x=True)[:, :, :N1]
+            w = _fft.dst(w, type=2, axis=1)[:, :N0, :]
+            # synthesis sqrt(2/s)/2 times analysis sqrt(s/2)/M, per axis
+            out += w.reshape(-1, self.dim).T * (0.25 / (M0 * M1))
+        return out.reshape(np.shape(c))
 
     def coeff_field(self, c: np.ndarray) -> SpectralField:
-        return SpectralField(self.box, DIRICHLET, self._embed(c))
+        # coefficient layout: flattened (k1-1, k2-1) row-major
+        full = np.zeros((self.trunc[0] + 1, self.trunc[1] + 1))
+        full[1:, 1:] = c.reshape(self.trunc)
+        return SpectralField(self.box, DIRICHLET, full)
 
 
 @dataclass
@@ -171,11 +169,9 @@ def assemble(potential, box: BoxDomain, N, shift: float = 0.0,
     op = GalerkinOperator(box, N, shift, "matrix-free", None, v_grid, M, diag)
     if storage == "dense":
         A = np.empty((dim, dim))
-        e = np.zeros(dim)
-        for j in range(dim):
-            e[j] = 1.0
-            A[:, j] = op.apply(e)
-            e[j] = 0.0
+        k = max(1, (1 << 20) // (M[0] * M[1]))  # 8 MB per transient block
+        for j in range(0, dim, k):
+            A[:, j:j + k] = op.apply(np.eye(dim, min(k, dim - j), -j))
         A = 0.5 * (A + A.T)
         op = GalerkinOperator(box, N, shift, "dense", A, v_grid, M, diag)
     return op
@@ -237,8 +233,7 @@ def min_max(op: GalerkinOperator, n: int, trial: np.ndarray) -> float:
     G = V.T @ V
     if np.linalg.cond(G) > 1e12:
         raise ContractError("trial subspace is (numerically) rank-deficient")
-    AV = np.column_stack([op.apply(V[:, j]) for j in range(n)])
-    H = V.T @ AV
+    H = V.T @ op.apply(V)
     H = 0.5 * (H + H.T)
     from scipy.linalg import eigh as _geigh
 

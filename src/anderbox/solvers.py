@@ -30,6 +30,7 @@ def lobpcg_top(apply_fn, dim: int, n: int, precond: np.ndarray,
                v0: np.ndarray | None = None, tol: float = 1e-9, seed: int = 0):
     """Top-n eigenpairs of a symmetric operator by LOBPCG on ``-A``.
 
+    ``apply_fn`` maps a (dim, k) block to A times it, in one call per block.
     ``precond`` holds the diagonal of a positive preconditioner for ``-A``
     and ``v0`` (one vector or up to n columns) seeds the start block; the
     remaining columns are drawn from ``seed``.  A result is accepted when
@@ -45,7 +46,7 @@ def lobpcg_top(apply_fn, dim: int, n: int, precond: np.ndarray,
         X[:, : v0.shape[1]] = v0
 
     def neg_a(block):
-        return -np.column_stack([apply_fn(x) for x in block.T])
+        return -apply_fn(block)
 
     def precondition(block):
         return block * precond[:, None]
@@ -59,7 +60,7 @@ def lobpcg_top(apply_fn, dim: int, n: int, precond: np.ndarray,
         order = np.argsort(neg_vals)
         vals = -neg_vals[order]
         X = X[:, order]
-        res = np.linalg.norm(-neg_a(X) - X * vals, axis=0)
+        res = np.linalg.norm(apply_fn(X) - X * vals, axis=0)
         if np.all(res <= tol):
             return vals, X, res
     raise ConvergenceError(

@@ -78,6 +78,15 @@ class TestCLI:
             assert rc == 2
             assert "error: eps must be > 0" in capsys.readouterr().err
 
+    def test_unknown_profile_exits_nonzero(self, tmp_path, capsys):
+        rc = main(["spectrum", "--out", str(tmp_path), "--set", "profile=smoth",
+                   "--set", "L=1.0", "--set", "nu=8"])
+        assert rc == 2
+        assert "error: profile must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(ContractError):
+            ExperimentConfig(profile="Smooth")
+
     def test_box_bounds_rows_timed(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["box-bounds", "--out", str(out), "--seed", "1",

@@ -8,8 +8,11 @@ from anderbox.geometry import (
     DIRICHLET,
     NEUMANN,
     BoxDomain,
+    GridField,
     SpectralField,
     basis_value,
+    forward_transform,
+    inverse_transform,
 )
 from anderbox.hamiltonian import (
     assemble,
@@ -22,6 +25,7 @@ from anderbox.hamiltonian import (
     spectra_to_csv,
 )
 from anderbox.noise import INDICATOR, SMOOTH, enhance, restrict, sample
+from anderbox.solvers import lobpcg_top
 
 from oracles import ims_fd_residual
 
@@ -81,6 +85,56 @@ class TestAssemble:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(dense.dim)
         assert np.abs(dense.apply(x) - free.apply(x)).max() < 1e-11
+
+
+class TestBlockApply:
+    # rectangular box, N0 != N1, on the grid assemble picks for the band
+    RECT = BoxDomain((0.0, 0.0), (1.0, 1.5))
+
+    def rect_operator(self, storage="matrix-free"):
+        rng = np.random.default_rng(12)
+        V = SpectralField(self.RECT, NEUMANN, rng.standard_normal((8, 5)))
+        return assemble(V, self.RECT, (6, 9), storage=storage)
+
+    def test_block_matches_per_column_transforms(self):
+        op = self.rect_operator()
+        assert op.trunc == (6, 9) and op._grid_M[0] != op._grid_M[1]
+        X = np.random.default_rng(13).standard_normal((op.dim, 5))
+        ref = []
+        for x in X.T:
+            # one column at a time through the public transforms
+            u = inverse_transform(op.coeff_field(x), op._grid_M)
+            w = forward_transform(GridField(self.RECT, u.samples * op._v_grid),
+                                  DIRICHLET, op.trunc)
+            ref.append(op.diag * x + w.coeffs[1:, 1:].ravel())
+        ref = np.column_stack(ref)
+        scale = np.abs(ref).max()
+        assert np.abs(op.apply(X) - ref).max() <= 1e-12 * scale
+        assert op.apply(X[:, 0]).shape == (op.dim,)
+        assert op.apply(X[:, :1]).shape == (op.dim, 1)
+        assert np.abs(op.apply(X[:, 0]) - ref[:, 0]).max() <= 1e-12 * scale
+        assert np.abs(op.apply(X[:, :1])[:, 0] - ref[:, 0]).max() <= 1e-12 * scale
+
+    def test_dense_matches_matrix_free_on_block(self):
+        dense, free = self.rect_operator("dense"), self.rect_operator()
+        X = np.random.default_rng(14).standard_normal((free.dim, 4))
+        assert np.abs(dense.apply(X) - free.apply(X)).max() < 1e-11
+
+    def test_lobpcg_applies_whole_blocks(self):
+        op = self.rect_operator()
+        shapes = []
+
+        def counting_apply(block):
+            shapes.append(np.shape(block))
+            return op.apply(block)
+
+        precond = 1.0 / (-op.diag + op.diag.max() + np.abs(op._v_grid).max() + 1.0)
+        vals, _, res = lobpcg_top(counting_apply, op.dim, 3, precond, tol=1e-9)
+        assert res.max() <= 1e-9
+        assert shapes and all(len(s) == 2 for s in shapes)
+        assert any(s[1] == 3 for s in shapes)
+        ref = np.linalg.eigvalsh(self.rect_operator("dense").matrix)[::-1][:3]
+        assert np.abs(vals - ref).max() < 1e-9
 
 
 class TestEigenvalues:
