@@ -58,9 +58,6 @@ class DyadicPartition:
     def levels(self) -> range:
         return range(-1, self.J + 1)
 
-    def max_support_radius(self, j: int) -> float:
-        return _OUTER * 2.0 ** max(j + 1, 0)
-
 
 def make_partition(J: int) -> DyadicPartition:
     return DyadicPartition(int(J))

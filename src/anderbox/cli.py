@@ -32,16 +32,10 @@ from .experiments import (
     tail_study,
 )
 
-_SUBCOMMANDS = (
-    "sample", "spectrum", "renorm", "growth", "scaling-test", "tails",
-    "small-noise", "chi", "rate-inf", "box-bounds", "selftest", "print-config",
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="anderbox", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
-    p.add_argument("command", choices=_SUBCOMMANDS)
+    p.add_argument("command", choices=[*_COMMANDS, *_STUDIES])
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--seed", type=int, default=None, help="seed base override")
     p.add_argument("--out", default=None, help="output directory")
@@ -86,6 +80,11 @@ def _finish(cfg, name, record: StudyRecord | None, summary) -> int:
     return 0
 
 
+def _cmd_print_config(cfg: ExperimentConfig) -> int:
+    print(print_config(cfg))
+    return 0
+
+
 def _cmd_sample(cfg: ExperimentConfig) -> int:
     from .geometry import BoxDomain
     from .noise import sample, save_draw
@@ -102,10 +101,8 @@ def _cmd_sample(cfg: ExperimentConfig) -> int:
 
 def _cmd_spectrum(cfg: ExperimentConfig) -> int:
     from .geometry import BoxDomain
-    from .hamiltonian import assemble, eigenvalues
-    from .noise import enhance, sample
-
-    from .noise import mollified_band
+    from .hamiltonian import assemble, eigenvalues, operator_from_noise
+    from .noise import enhance, mollified_band, sample
 
     box = BoxDomain.square(cfg.L)
     N = cfg.trunc(cfg.L)
@@ -114,8 +111,6 @@ def _cmd_spectrum(cfg: ExperimentConfig) -> int:
     if cfg.beta == 0.0:
         op = assemble(None, box, N, storage="matrix-free")
     else:
-        from .hamiltonian import operator_from_noise
-
         band = mollified_band(box, cfg.eps, cfg.cutoff())
         draw = sample(box, (max(band[0], 1), max(band[1], 1)), cfg.seed)
         en = enhance(draw, cfg.eps, cfg.cutoff())
@@ -193,6 +188,18 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
     return 0 if failures == 0 else 1
 
 
+_COMMANDS = {
+    "print-config": _cmd_print_config,
+    "sample": _cmd_sample,
+    "spectrum": _cmd_spectrum,
+    "renorm": _cmd_renorm,
+    "box-bounds": _cmd_box_bounds,
+    "chi": _cmd_chi,
+    "rate-inf": _cmd_rate_inf,
+    "selftest": _cmd_selftest,
+}
+
+# looked up at call time, so a study can be swapped for an instrumented one
 _STUDIES = {
     "growth": growth_study,
     "scaling-test": scaling_law_test,
@@ -205,25 +212,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command == "print-config":
-            print(print_config(cfg))
-            return 0
-        if args.command == "sample":
-            return _cmd_sample(cfg)
-        if args.command == "spectrum":
-            return _cmd_spectrum(cfg)
-        if args.command == "renorm":
-            return _cmd_renorm(cfg)
-        if args.command == "box-bounds":
-            return _cmd_box_bounds(cfg)
-        if args.command == "chi":
-            return _cmd_chi(cfg)
-        if args.command == "rate-inf":
-            return _cmd_rate_inf(cfg)
-        if args.command == "selftest":
-            return _cmd_selftest(cfg)
-        study = _STUDIES[args.command]
-        rec = study(cfg)
+        if args.command in _COMMANDS:
+            return _COMMANDS[args.command](cfg)
+        rec = _STUDIES[args.command](cfg)
         return _finish(cfg, args.command.replace("-", "_"), rec, rec.summary)
     except (ContractError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,11 +7,11 @@ class ContractError(ValueError):
     parent, ...)."""
 
 
-class AliasingError(ValueError):
+class AliasingError(ContractError):
     """A grid is too coarse to represent the requested band limit."""
 
 
-class CapacityError(ValueError):
+class CapacityError(ContractError):
     """A dense operator was requested above the dense size cap without
     explicit opt-in."""
 

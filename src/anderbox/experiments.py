@@ -43,7 +43,6 @@ class ExperimentConfig:
     """Knobs shared by the batch studies; unused fields are ignored by
     studies that do not need them."""
 
-    study: str = "growth"
     L: float = 4.0
     L_ladder: tuple = (1.0, 2.0, 4.0)
     eps: float = 0.25
@@ -66,12 +65,16 @@ class ExperimentConfig:
     def __post_init__(self):
         self.L_ladder = tuple(float(x) for x in self.L_ladder)
         self.eps_ladder = tuple(float(x) for x in self.eps_ladder)
+        if not self.L_ladder or not self.eps_ladder:
+            raise ContractError("L_ladder and eps_ladder must not be empty")
         if list(self.L_ladder) != sorted(self.L_ladder):
             raise ContractError("L ladder must be increasing")
-        if self.replicas < 1:
-            raise ContractError("replica count must be >= 1")
-        if not self.eps > 0:
-            raise ContractError(f"eps must be > 0, got {self.eps}")
+        for key in ("replicas", "n_eigs", "workers"):
+            if getattr(self, key) < 1:
+                raise ContractError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("L", "eps", "nu", "alpha"):
+            if not getattr(self, key) > 0:
+                raise ContractError(f"{key} must be > 0, got {getattr(self, key)}")
         if self.profile not in ("smooth", "indicator"):
             raise ContractError(f"profile must be smooth or indicator, got {self.profile!r}")
 
@@ -114,7 +117,7 @@ def _fmt17(x):
 
 
 def _map_seeds(fn, seeds, workers: int):
-    if workers and workers > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -197,19 +200,41 @@ def growth_study(cfg: ExperimentConfig) -> StudyRecord:
     return rec
 
 
-# -- scaling in distribution --------------------------------------------------
+# -- mollified single-box studies ---------------------------------------------
 
-def _scaling_replica(args):
-    (L, eps, amp, N, band, profile_kind, seed) = args
-    tau = SMOOTH if profile_kind == "smooth" else INDICATOR
+def _mollified_replica(args):
+    """Top eigenvalue of Laplacian + amp * xi_eps on Q_L for one seed, and
+    the wall time in ms; module-level so a worker pool can pickle it."""
+    (L, eps, amp, N, band, tau, tol, seed) = args
     box = BoxDomain.square(L)
     t0 = time.perf_counter()
     draw = sample(box, band, seed)
     xi = mollify(draw, eps, tau)
     op = assemble(xi * amp, box, N, storage="matrix-free")
-    vals = eigenvalues(op, 1, tol=1e-8, seed=seed).values
-    return float(vals[0]), (time.perf_counter() - t0) * 1e3
+    lam = float(eigenvalues(op, 1, tol=tol, seed=seed).values[0])
+    return lam, (time.perf_counter() - t0) * 1e3
 
+
+def _mollified_rows(rec: StudyRecord, cfg: ExperimentConfig, seeds, L, eps,
+                    amp, tau, tol, value, eps_col=None) -> np.ndarray:
+    """Run ``_mollified_replica`` over ``seeds`` at the truncation
+    N(cfg.L), map each eigenvalue through ``value`` here in the parent
+    process, and add the rows (L, eps_col or eps, amp, seed, 1, value).
+    Returns the values in seed order."""
+    N = cfg.trunc(cfg.L)
+    band = mollified_band(BoxDomain.square(L), eps, tau)[0]
+    res = _map_seeds(_mollified_replica,
+                     [(L, eps, amp, N, band, tau, tol, s) for s in seeds],
+                     cfg.workers)
+    vals = []
+    for s, (lam, wall) in zip(seeds, res):
+        v = value(lam)
+        rec.add(L, eps if eps_col is None else eps_col, amp, s, 1, v, wall)
+        vals.append(v)
+    return np.asarray(vals)
+
+
+# -- scaling in distribution --------------------------------------------------
 
 def scaling_law_test(cfg: ExperimentConfig) -> StudyRecord:
     """Two-sample check of the scaling-in-distribution identity.
@@ -226,53 +251,27 @@ def scaling_law_test(cfg: ExperimentConfig) -> StudyRecord:
     rec = StudyRecord(config=asdict(cfg))
     tau = cfg.cutoff()
     c_tau = profile_constant(tau)
-    N = cfg.trunc(cfg.L)
-    band_A = mollified_band(BoxDomain.square(cfg.L), cfg.eps, tau)[0]
-    band_B = mollified_band(BoxDomain.square(cfg.L / a), cfg.eps / a, tau)[0]
-
-    seeds_A = [cfg.seed + i for i in range(cfg.replicas)]
-    seeds_B = [cfg.seed + cfg.replicas + i for i in range(cfg.replicas)]
-    res_A = _map_seeds(_scaling_replica,
-                       [(cfg.L, cfg.eps, cfg.beta, N, band_A, tau.kind, s)
-                        for s in seeds_A], cfg.workers)
-    res_B = _map_seeds(_scaling_replica,
-                       [(cfg.L / a, cfg.eps / a, a * cfg.beta, N, band_B, tau.kind, s)
-                        for s in seeds_B], cfg.workers)
-
     shift_A = cfg.beta**2 * (TWO_PI_INV * math.log(1.0 / cfg.eps) + c_tau)
     shift_B = cfg.beta**2 * (TWO_PI_INV * math.log(a / cfg.eps) + c_tau)
-    A, B = [], []
-    for s, (lam, wall) in zip(seeds_A, res_A):
-        v = lam - shift_A
-        rec.add(cfg.L, cfg.eps, cfg.beta, s, 1, v, wall)
-        A.append(v)
-    for s, (lam, wall) in zip(seeds_B, res_B):
-        v = lam / a**2 - shift_B + cfg.beta**2 * TWO_PI_INV * math.log(a)
-        rec.add(cfg.L / a, cfg.eps / a, a * cfg.beta, s, 1, v, wall)
-        B.append(v)
+    log_shift = cfg.beta**2 * TWO_PI_INV * math.log(a)
+    seeds_A = [cfg.seed + i for i in range(cfg.replicas)]
+    seeds_B = [cfg.seed + cfg.replicas + i for i in range(cfg.replicas)]
+    A = _mollified_rows(rec, cfg, seeds_A, cfg.L, cfg.eps, cfg.beta, tau, 1e-8,
+                        lambda lam: lam - shift_A)
+    B = _mollified_rows(rec, cfg, seeds_B, cfg.L / a, cfg.eps / a, a * cfg.beta,
+                        tau, 1e-8, lambda lam: lam / a**2 - shift_B + log_shift)
     ks = ks_2samp(A, B)
     rec.summary = {
         "ks_stat": float(ks.statistic),
         "ks_pvalue": float(ks.pvalue),
         "mean_A": float(np.mean(A)),
         "mean_B": float(np.mean(B)),
-        "log_shift": cfg.beta**2 * TWO_PI_INV * math.log(a),
+        "log_shift": log_shift,
     }
     return rec
 
 
 # -- tails --------------------------------------------------------------------
-
-def _tail_replica(args):
-    (L, eps, beta, N, band, seed) = args
-    box = BoxDomain.square(L)
-    t0 = time.perf_counter()
-    draw = sample(box, band, seed)
-    xi = mollify(draw, eps, SMOOTH)
-    op = assemble(xi * beta, box, N, storage="matrix-free")
-    lam = float(eigenvalues(op, 1, tol=1e-7, seed=seed).values[0])
-    return lam, (time.perf_counter() - t0) * 1e3
-
 
 def empirical_upper_tail(samples: np.ndarray, xs: np.ndarray) -> np.ndarray:
     samples = np.sort(np.asarray(samples))
@@ -285,20 +284,11 @@ def tail_study(cfg: ExperimentConfig, n_boot: int = 200) -> StudyRecord:
     and a log-linear fit of the decay rate (reported with a bootstrap CI,
     never asserted against the theoretical rate)."""
     rec = StudyRecord(config=asdict(cfg))
-    N = cfg.trunc(cfg.L)
-    band = mollified_band(BoxDomain.square(cfg.L), cfg.eps, SMOOTH)[0]
     c_eps = cfg.beta**2 * (TWO_PI_INV * math.log(1.0 / cfg.eps)
                            + profile_constant(SMOOTH))
     seeds = [cfg.seed + i for i in range(cfg.replicas)]
-    res = _map_seeds(_tail_replica,
-                     [(cfg.L, cfg.eps, cfg.beta, N, band, s) for s in seeds],
-                     cfg.workers)
-    lams = []
-    for s, (lam, wall) in zip(seeds, res):
-        v = lam - c_eps
-        rec.add(cfg.L, cfg.eps, cfg.beta, s, 1, v, wall)
-        lams.append(v)
-    lams = np.asarray(lams)
+    lams = _mollified_rows(rec, cfg, seeds, cfg.L, cfg.eps, cfg.beta, SMOOTH,
+                           1e-7, lambda lam: lam - c_eps)
 
     qlo, qhi = np.quantile(lams, [0.90, 0.999])
     xs = np.linspace(qlo, qhi, 24)
@@ -334,37 +324,18 @@ def tail_study(cfg: ExperimentConfig, n_boot: int = 200) -> StudyRecord:
 
 # -- small-noise concentration -------------------------------------------------
 
-def _small_noise_replica(args):
-    (L, moll, amp, N, band, seed) = args
-    box = BoxDomain.square(L)
-    t0 = time.perf_counter()
-    draw = sample(box, band, seed)
-    xi = mollify(draw, moll, SMOOTH)
-    op = assemble(xi * amp, box, N, storage="matrix-free")
-    lam = float(eigenvalues(op, 1, tol=1e-9, seed=seed).values[0])
-    return lam, (time.perf_counter() - t0) * 1e3
-
-
 def small_noise_study(cfg: ExperimentConfig) -> StudyRecord:
     """Noise amplitude sqrt(eps) -> 0: the top eigenvalue concentrates at
     the zero-potential value and its variance shrinks linearly in eps."""
     rec = StudyRecord(config=asdict(cfg))
-    L = cfg.L
-    N = cfg.trunc(L)
-    moll = cfg.eps  # fixed mollification scale of the underlying noise
-    band = mollified_band(BoxDomain.square(L), moll, SMOOTH)[0]
-    lam0 = -2.0 * np.pi**2 / L**2
+    lam0 = -2.0 * np.pi**2 / cfg.L**2
+    seeds = [cfg.seed + i for i in range(cfg.replicas)]
     per_eps = {}
     for amp2 in cfg.eps_ladder:
-        amp = math.sqrt(amp2)
-        seeds = [cfg.seed + i for i in range(cfg.replicas)]
-        res = _map_seeds(_small_noise_replica,
-                         [(L, moll, amp, N, band, s) for s in seeds], cfg.workers)
-        lams = []
-        for s, (lam, wall) in zip(seeds, res):
-            rec.add(L, amp2, amp, s, 1, lam, wall)
-            lams.append(lam)
-        lams = np.asarray(lams)
+        # the mollification scale cfg.eps of the underlying noise is fixed;
+        # the row's eps column carries the squared amplitude
+        lams = _mollified_rows(rec, cfg, seeds, cfg.L, cfg.eps, math.sqrt(amp2),
+                               SMOOTH, 1e-9, lambda lam: lam, eps_col=amp2)
         per_eps[amp2] = {"mean": float(lams.mean()),
                          "var": float(lams.var(ddof=1)),
                          "stderr": float(lams.std(ddof=1) / np.sqrt(len(lams)))}
@@ -390,13 +361,42 @@ def _l4sq_and_grad(psi: SpectralField, M) -> tuple[float, float, np.ndarray]:
     return l4sq, grad, g.samples
 
 
+def _grid_norm(V: np.ndarray, area: float) -> float:
+    """L2 norm of grid samples V by midpoint quadrature over the area."""
+    return math.sqrt(float(np.sum(V**2)) * (area / V.size))
+
+
 def _normalized_grid(V: np.ndarray, area: float) -> np.ndarray:
-    return V / math.sqrt(float(np.sum(V**2)) * (area / V.size))
+    return V / _grid_norm(V, area)
+
+
+def _start_bump(box: BoxDomain, M) -> np.ndarray:
+    """Centred Gaussian of width min(sides)/6 sampled on the grid M."""
+    xs = midpoint_nodes(box, M)
+    cx = box.origin[0] + box.sides[0] / 2
+    cy = box.origin[1] + box.sides[1] / 2
+    w0 = min(box.sides) / 6.0
+    return np.exp(-(((xs[0][:, None] - cx) ** 2 + (xs[1][None, :] - cy) ** 2)
+                    / (2 * w0**2)))
+
+
+def _psi_sq_step(V: np.ndarray, box: BoxDomain, N, M, n: int, tol: float,
+                 v0, seed: int):
+    """One psi^2 fixed-point step: solve Laplacian + V on the grid M for
+    the top n eigenpairs, take the unit-L2 n-th eigenfunction psi.
+
+    Returns (eigen result, |psi|_4^2, |grad psi|_2^2, psi, psi^2 sampled
+    on the grid M)."""
+    op = assemble(V, box, N, storage="matrix-free", grid_M=M)
+    r = eigenvalues(op, n, vectors=True, tol=tol, v0=v0, seed=seed)
+    psi = op.coeff_field(r.vectors[:, n - 1])
+    psi = psi * (1.0 / psi.l2_norm())
+    l4sq, grad, samples = _l4sq_and_grad(psi, M)
+    return r, l4sq, grad, psi, samples**2
 
 
 def chi_ascent(box: BoxDomain, N: int, max_iter: int = 200, tol: float = 1e-10,
-               seed: int = 0, V0: np.ndarray | None = None,
-               v0_width: float | None = None):
+               seed: int = 0, V0: np.ndarray | None = None):
     """Alternating maximization of 4 (|psi|_4^2 - |grad psi|_2^2) over unit
     L2 functions on the box.
 
@@ -408,29 +408,17 @@ def chi_ascent(box: BoxDomain, N: int, max_iter: int = 200, tol: float = 1e-10,
     """
     N = _pair(N)
     M = (2 * N[0] + 2, 2 * N[1] + 2)
-    if V0 is not None:
-        if V0.shape != M:
-            raise ContractError(f"V0 must be sampled on the grid {M}")
-        V = _normalized_grid(np.asarray(V0, dtype=float), box.area)
-    else:
-        xs = midpoint_nodes(box, M)
-        cx = box.origin[0] + box.sides[0] / 2
-        cy = box.origin[1] + box.sides[1] / 2
-        w0 = v0_width if v0_width is not None else min(box.sides) / 6.0
-        V = np.exp(-(((xs[0][:, None] - cx) ** 2 + (xs[1][None, :] - cy) ** 2)
-                     / (2 * w0**2)))
-        V = _normalized_grid(V, box.area)
+    if V0 is not None and np.shape(V0) != M:
+        raise ContractError(f"V0 must be sampled on the grid {M}")
+    V = np.asarray(V0, dtype=float) if V0 is not None else _start_bump(box, M)
+    V = _normalized_grid(V, box.area)
 
     trace = []
     vec = None
     psi = None
     for it in range(max_iter):
-        op = assemble(V, box, N, storage="matrix-free", grid_M=M)
-        r = eigenvalues(op, 1, vectors=True, tol=1e-8, v0=vec, seed=seed)
+        r, l4sq, grad, psi, psi_sq = _psi_sq_step(V, box, N, M, 1, 1e-8, vec, seed)
         vec = r.vectors[:, 0]
-        psi = op.coeff_field(vec)
-        psi = psi * (1.0 / psi.l2_norm())
-        l4sq, grad, samples = _l4sq_and_grad(psi, M)
         val = 4.0 * (l4sq - grad)
         if trace and val < trace[-1] - 1e-9:
             raise ConvergenceError(
@@ -439,7 +427,7 @@ def chi_ascent(box: BoxDomain, N: int, max_iter: int = 200, tol: float = 1e-10,
         trace.append(val)
         if converged:
             break
-        V = _normalized_grid(samples**2, box.area)
+        V = _normalized_grid(psi_sq, box.area)
     return trace[-1], trace, psi
 
 
@@ -536,32 +524,18 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
     box = BoxDomain.square(float(L))
     N = _pair(N if N is not None else int(math.ceil(nu * L)))
     M = (2 * N[0] + 2, 2 * N[1] + 2)
-    quad_w = box.area / (M[0] * M[1])
-
-    if V0 is None:
-        xs = midpoint_nodes(box, M)
-        cx = box.origin[0] + box.sides[0] / 2
-        w0 = box.sides[0] / 6.0
-        V = np.exp(-(((xs[0][:, None] - cx) ** 2 + (xs[1][None, :] - cx) ** 2)
-                     / (2 * w0**2)))
-    else:
-        V = np.array(V0, dtype=float)
-        if V.shape != M:
-            raise ContractError(f"V0 must be sampled on the grid {M}")
-    V /= math.sqrt(float(np.sum(V**2)) * quad_w)
+    if V0 is not None and np.shape(V0) != M:
+        raise ContractError(f"V0 must be sampled on the grid {M}")
+    V = np.array(V0, dtype=float) if V0 is not None else _start_bump(box, M)
+    V = _normalized_grid(V, box.area)
 
     mu = _calibrate_mu(V, box, N, n, a, M, seed=seed)
     best = 0.5 * mu**2
     best_V = V * mu
     energies = [best]
     for it in range(max_iter):
-        op = assemble(best_V, box, N, storage="matrix-free", grid_M=M)
-        r = eigenvalues(op, n, vectors=True, tol=1e-10, seed=seed)
-        psi = op.coeff_field(r.vectors[:, n - 1])
-        psi = psi * (1.0 / psi.l2_norm())
-        _, _, samples = _l4sq_and_grad(psi, M)
-        cand = samples**2
-        cand /= math.sqrt(float(np.sum(cand**2)) * quad_w)
+        *_, psi_sq = _psi_sq_step(best_V, box, N, M, n, 1e-10, None, seed)
+        cand = _normalized_grid(psi_sq, box.area)
         mu = _calibrate_mu(cand, box, N, n, a, M, seed=seed)
         energy = 0.5 * mu**2
         if energy < best - 1e-12:
@@ -574,20 +548,14 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
     def _ball_ascent(radius, V_start, iters=12):
         """Maximize lambda_n over |V|_2 <= radius by the fixed-point map
         V -> radius * psi_n^2 / |psi_n^2|_2; returns the best level seen."""
-        Vd = V_start * (radius / math.sqrt(float(np.sum(V_start**2)) * quad_w))
+        Vd = V_start * (radius / _grid_norm(V_start, box.area))
         lam = -np.inf
         block = None
         for _ in range(iters):
-            op = assemble(Vd, box, N, storage="matrix-free", grid_M=M)
-            r = eigenvalues(op, n, vectors=True, tol=1e-10, v0=block, seed=seed)
+            r, *_, psi_sq = _psi_sq_step(Vd, box, N, M, n, 1e-10, block, seed)
             block = r.vectors
             lam = max(lam, float(r.values[n - 1]))
-            psi = op.coeff_field(r.vectors[:, n - 1])
-            psi = psi * (1.0 / psi.l2_norm())
-            _, _, samples = _l4sq_and_grad(psi, M)
-            nxt = samples**2
-            nxt *= radius / math.sqrt(float(np.sum(nxt**2)) * quad_w)
-            Vd = nxt
+            Vd = psi_sq * (radius / _grid_norm(psi_sq, box.area))
         op = assemble(Vd, box, N, storage="matrix-free", grid_M=M)
         return max(lam, float(eigenvalues(op, n, tol=1e-10, v0=block,
                                           seed=seed).values[n - 1]))

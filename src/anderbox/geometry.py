@@ -91,13 +91,6 @@ class BoxDomain:
                 return False
         return True
 
-    def contains_points(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        ok = np.ones(x.shape[:-1], dtype=bool)
-        for i in range(2):
-            ok &= (x[..., i] >= self.origin[i]) & (x[..., i] <= self.origin[i] + self.sides[i])
-        return ok
-
 
 def nu(k) -> np.ndarray:
     """Normalisation factor 2**(-#zero indices / 2), applied per axis."""

@@ -11,7 +11,6 @@ the exact Galerkin projection of multiplication by V.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import csv
 import math
 import time
 
@@ -172,7 +171,7 @@ def assemble(potential, box: BoxDomain, N, shift: float = 0.0,
         k = max(1, (1 << 20) // (M[0] * M[1]))  # 8 MB per transient block
         for j in range(0, dim, k):
             A[:, j:j + k] = op.apply(np.eye(dim, min(k, dim - j), -j))
-        A = 0.5 * (A + A.T)
+        # symmetric to round-off (|A - A^T| ~ 1e-15); eigh reads one triangle
         op = GalerkinOperator(box, N, shift, "dense", A, v_grid, M, diag)
     return op
 
@@ -183,7 +182,6 @@ def operator_from_noise(en: EnhancedNoise, N, beta: float = 1.0,
 
     renorm = "field":    subtract the full x-dependent expectation field
     renorm = "constant": subtract only the lattice constant c_{eps,L}
-    renorm = "none":     no subtraction
     """
     N = _pair(N)
     if renorm == "field":
@@ -193,8 +191,6 @@ def operator_from_noise(en: EnhancedNoise, N, beta: float = 1.0,
         return assemble(veff, en.box, N, **kw)
     if renorm == "constant":
         return assemble(en.xi * beta, en.box, N, shift=beta**2 * en.c_subtracted, **kw)
-    if renorm == "none":
-        return assemble(en.xi * beta, en.box, N, **kw)
     raise ContractError(f"unknown renorm mode {renorm!r}")
 
 
@@ -246,10 +242,6 @@ def min_max(op: GalerkinOperator, n: int, trial: np.ndarray) -> float:
 def _phi_step(u: np.ndarray) -> np.ndarray:
     """Smooth step: 0 on (-inf, -1], 1 on [1, inf)."""
     return _bump_ramp((np.asarray(u, dtype=float) + 1.0) / 2.0)
-
-
-def _phi_step_d(u: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    return (_phi_step(u + h) - _phi_step(u - h)) / (2 * h)
 
 
 @dataclass
@@ -316,10 +308,6 @@ def ims_partition(r: float, a: float) -> IMSPartition:
 
 # -- box comparison checker -------------------------------------------------
 
-def _top1(op, tol=1e-8, seed=0):
-    return float(eigenvalues(op, 1, tol=tol, seed=seed).values[0])
-
-
 def box_bounds_check(L: float, r: float, a: float, eps: float, seeds,
                      nu_trunc: int = 8, n_lower: int | None = None,
                      slack: float = 1e-4, tau=None) -> dict:
@@ -375,24 +363,18 @@ def box_bounds_check(L: float, r: float, a: float, eps: float, seeds,
         phi = ims.phi_grid(study, M)
         vg = potential_on_grid(pot, study, M)
         op_pen = assemble(vg - phi, study, N_L, storage="matrix-free", grid_M=M)
-        lam_pen = _top1(op_pen, seed=seed)
+        lam_pen = eigenvalues(op_pen, 1, tol=1e-8, seed=seed).values[0]
 
-        tile_vals = []
-        for t in tiles:
-            Nt = _pair(int(np.ceil(nu_trunc * (r + a))))
+        def top(t, side, n=1):
+            """Top n eigenvalues on the tile t of the given side length."""
+            Nt = _pair(int(np.ceil(nu_trunc * side)))
             pt = restrict(draw, eps, t, (2 * Nt[0], 2 * Nt[1]), tau)
-            tile_vals.append(_top1(assemble(pt, t, Nt, storage="matrix-free"), seed=seed))
-        dis_vals = []
-        for t in disjoint:
-            Nt = _pair(int(np.ceil(nu_trunc * r)))
-            pt = restrict(draw, eps, t, (2 * Nt[0], 2 * Nt[1]), tau)
-            dis_vals.append(_top1(assemble(pt, t, Nt, storage="matrix-free"), seed=seed))
+            return eigenvalues(assemble(pt, t, Nt, storage="matrix-free"),
+                               n, tol=1e-8, seed=seed).values
 
-        sub = disjoint[0]
-        Ns = _pair(int(np.ceil(nu_trunc * r)))
-        pot_s = restrict(draw, eps, sub, (2 * Ns[0], 2 * Ns[1]), tau)
-        lam_sub = eigenvalues(assemble(pot_s, sub, Ns, storage="matrix-free"),
-                              2, tol=1e-8, seed=seed).values
+        tile_vals = [top(t, r + a)[0] for t in tiles]
+        dis_vals = [top(t, r)[0] for t in disjoint]
+        lam_sub = top(disjoint[0], r, 2)
 
         report["draws"] += 1
         if not lam_parent[0] <= lam_pen + float(phi.max()) + slack:
@@ -412,18 +394,3 @@ def box_bounds_check(L: float, r: float, a: float, eps: float, seeds,
     report["phi_max_over_a2"] = float(ims.K**2 * 2 / a**2)
     return report
 
-
-def spectra_to_csv(path, rows) -> None:
-    """Rows: dicts with keys L, eps, beta, seed, n, lambda, wall_ms."""
-    cols = ["L", "eps", "beta", "seed", "n", "lambda", "wall_ms"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in cols])
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return x

@@ -130,11 +130,6 @@ def para_lo(u, v, P=None):
     return bony_split(u, v, P).lo
 
 
-def para_hi(u, v, P=None):
-    """u |> v (u carries the high frequencies); equals v <| u."""
-    return bony_split(u, v, P).hi
-
-
 def resonance(u, v, P=None):
     return bony_split(u, v, P).reso
 

@@ -87,6 +87,19 @@ class TestCLI:
         with pytest.raises(ContractError):
             ExperimentConfig(profile="Smooth")
 
+    @pytest.mark.parametrize("argv", [
+        ["growth", "--set", "L_ladder="],
+        ["small-noise", "--set", "eps_ladder="],
+        ["scaling-test", "--set", "alpha=0"],
+        ["chi", "--set", "nu=0.01"],
+        ["growth", "--workers", "0"],
+        ["growth", "--workers", "-3"],
+    ])
+    def test_bad_input_exits_nonzero(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--out", str(tmp_path)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_box_bounds_rows_timed(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["box-bounds", "--out", str(out), "--seed", "1",

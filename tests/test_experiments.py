@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,20 +62,28 @@ class TestGrowthStudy:
         for a, b in zip(r1.rows, r2.rows):
             assert a["lambda"] == b["lambda"]
 
-    def test_worker_pool_matches_serial(self):
-        cfg = ExperimentConfig(L_ladder=(1.0, 2.0), beta=1.0, replicas=4,
-                               nu=8, eps=0.25, seed=21)
-        serial = growth_study(cfg)
-        import dataclasses
-        parallel = growth_study(dataclasses.replace(cfg, workers=2))
-        lam_s = [r["lambda"] for r in serial.rows]
-        lam_p = [r["lambda"] for r in parallel.rows]
-        assert lam_s == lam_p
+
+@pytest.mark.parametrize("study,kw", [
+    (growth_study, dict(L_ladder=(1.0, 2.0), eps=0.25, replicas=4)),
+    (scaling_law_test, dict(L=2.0, eps=0.5, alpha=2.0, replicas=3)),
+    (tail_study, dict(L=1.0, eps=0.5, replicas=4)),
+    (small_noise_study, dict(L=1.0, eps=0.25, replicas=3,
+                             eps_ladder=(1e-1, 1e-2))),
+], ids=["growth", "scaling-test", "tails", "small-noise"])
+def test_worker_pool_matches_serial(study, kw):
+    # every CSV column but wall_ms must not depend on the pool size
+    cfg = ExperimentConfig(nu=8, seed=21, **kw)
+    serial = study(cfg)
+    parallel = study(dataclasses.replace(cfg, workers=2))
+    body = lambda rec: [{k: v for k, v in r.items() if k != "wall_ms"}
+                        for r in rec.rows]
+    assert serial.rows
+    assert body(serial) == body(parallel)
 
 
 class TestScalingLaw:
     def test_alpha_one_is_identity_test(self):
-        cfg = ExperimentConfig(study="scaling", L=2.0, eps=0.5, alpha=1.0,
+        cfg = ExperimentConfig(L=2.0, eps=0.5, alpha=1.0,
                                beta=1.0, replicas=40, nu=8, seed=5)
         rec = scaling_law_test(cfg)
         # both sides are literally the same distribution

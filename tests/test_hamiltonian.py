@@ -22,8 +22,8 @@ from anderbox.hamiltonian import (
     min_max,
     operator_from_noise,
     potential_on_grid,
-    spectra_to_csv,
 )
+from anderbox.experiments import StudyRecord
 from anderbox.noise import INDICATOR, SMOOTH, enhance, restrict, sample
 from anderbox.solvers import lobpcg_top
 
@@ -341,10 +341,10 @@ class TestNoiseOperator:
 
 
 def test_spectra_csv_format(tmp_path):
-    rows = [{"L": 1.0, "eps": 0.25, "beta": 1.0, "seed": 3, "n": 1,
-             "lambda": -2 * np.pi**2, "wall_ms": 1.25}]
+    rec = StudyRecord()
+    rec.add(1.0, 0.25, 1.0, 3, 1, -2 * np.pi**2, 1.25)
     path = tmp_path / "spec.csv"
-    spectra_to_csv(path, rows)
+    rec.to_csv(path)
     text = path.read_text().splitlines()
     assert text[0] == "L,eps,beta,seed,n,lambda,wall_ms"
     assert "-19.739208802178716" in text[1]
