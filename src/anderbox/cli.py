@@ -80,6 +80,17 @@ def _finish(cfg, name, record: StudyRecord | None, summary) -> int:
     return 0
 
 
+def _as_run(cfg: ExperimentConfig, **ran) -> ExperimentConfig:
+    """The config with the values a command actually runs, so its manifest
+    records them; one note on stderr names those that differ from the
+    request."""
+    changed = [f"{key} {getattr(cfg, key)!r} -> {val!r}"
+               for key, val in ran.items() if val != getattr(cfg, key)]
+    if changed:
+        print(f"note: ran with {', '.join(changed)}", file=sys.stderr)
+    return replace(cfg, **ran)
+
+
 def _cmd_print_config(cfg: ExperimentConfig) -> int:
     print(print_config(cfg))
     return 0
@@ -127,10 +138,10 @@ def _cmd_renorm(cfg: ExperimentConfig) -> int:
     from .noise import renorm_constant
 
     tau = cfg.cutoff()
-    eps_list = cfg.eps_ladder if len(cfg.eps_ladder) > 2 else tuple(
-        2.0**-k for k in range(4, 11))
+    if len(cfg.eps_ladder) <= 2:
+        cfg = _as_run(cfg, eps_ladder=tuple(2.0**-k for k in range(4, 11)))
     rows = []
-    for e in eps_list:
+    for e in cfg.eps_ladder:
         c = renorm_constant(e, cfg.L, tau)
         rows.append((e, c))
     xs = np.log([1.0 / e for e, _ in rows])
@@ -164,8 +175,9 @@ def _cmd_box_bounds(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_chi(cfg: ExperimentConfig) -> int:
-    ladder = cfg.L_ladder if max(cfg.L_ladder) >= 8 else (16.0, 32.0, 48.0)
-    res = chi_estimate(L_ladder=ladder, nu=min(cfg.nu, 2.5),
+    cfg = _as_run(cfg, nu=min(cfg.nu, 2.5), L_ladder=(
+        cfg.L_ladder if max(cfg.L_ladder) >= 8 else (16.0, 32.0, 48.0)))
+    res = chi_estimate(L_ladder=cfg.L_ladder, nu=cfg.nu,
                        max_iter=cfg.chi_iters, seed=cfg.seed)
     return _finish(cfg, "chi", None, {
         "chi": res["chi"], "per_L": {str(k): v for k, v in res["per_L"].items()},
@@ -173,8 +185,9 @@ def _cmd_chi(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_rate_inf(cfg: ExperimentConfig) -> int:
+    cfg = _as_run(cfg, nu=min(cfg.nu, 8.0))
     res = rate_infimum_estimate(cfg.L, n=cfg.n_eigs, a=cfg.target,
-                                nu=min(cfg.nu, 8.0), seed=cfg.seed)
+                                nu=cfg.nu, seed=cfg.seed)
     return _finish(cfg, "rate_inf", None, {
         "energy": res["energy"], "dual_lambda": res["dual_lambda"],
         "level": res["level"],

@@ -23,7 +23,7 @@ from .geometry import (
     midpoint_nodes,
     _pair,
 )
-from .hamiltonian import assemble, eigenvalues
+from .hamiltonian import _laplacian_diag, _operator_grid, assemble, eigenvalues
 from .noise import (
     INDICATOR,
     SMOOTH,
@@ -370,6 +370,13 @@ def _normalized_grid(V: np.ndarray, area: float) -> np.ndarray:
     return V / _grid_norm(V, area)
 
 
+def _ascent_grid(N) -> tuple[int, int]:
+    """Quadrature grid of the psi^2 potentials: FFT-fast, and alias-free
+    for every band-N psi, since psi^4 and psi^2 d_k d_l have band <= 4N
+    and the midpoint rule integrates them exactly on any M > 2N."""
+    return _operator_grid(_pair(N), None)
+
+
 def _start_bump(box: BoxDomain, M) -> np.ndarray:
     """Centred Gaussian of width min(sides)/6 sampled on the grid M."""
     xs = midpoint_nodes(box, M)
@@ -396,25 +403,28 @@ def _psi_sq_step(V: np.ndarray, box: BoxDomain, N, M, n: int, tol: float,
 
 
 def chi_ascent(box: BoxDomain, N: int, max_iter: int = 200, tol: float = 1e-10,
-               seed: int = 0, V0: np.ndarray | None = None):
+               seed: int = 0, V0: np.ndarray | None = None,
+               v0: np.ndarray | None = None):
     """Alternating maximization of 4 (|psi|_4^2 - |grad psi|_2^2) over unit
     L2 functions on the box.
 
     Given the current unit-norm potential V, psi is the top eigenfunction
     of Laplacian + V; the next potential is psi^2 / |psi^2|_2 (the exact
-    partial maximizer), so the objective trace is nondecreasing.
+    partial maximizer), so the objective trace is nondecreasing.  Each
+    solve warm-starts from the previous eigenvector, the first from ``v0``
+    (operator coefficient layout) when given.
 
     Returns (value, trace, psi field).
     """
     N = _pair(N)
-    M = (2 * N[0] + 2, 2 * N[1] + 2)
+    M = _ascent_grid(N)
     if V0 is not None and np.shape(V0) != M:
         raise ContractError(f"V0 must be sampled on the grid {M}")
     V = np.asarray(V0, dtype=float) if V0 is not None else _start_bump(box, M)
     V = _normalized_grid(V, box.area)
 
     trace = []
-    vec = None
+    vec = v0
     psi = None
     for it in range(max_iter):
         r, l4sq, grad, psi, psi_sq = _psi_sq_step(V, box, N, M, 1, 1e-8, vec, seed)
@@ -434,7 +444,8 @@ def chi_ascent(box: BoxDomain, N: int, max_iter: int = 200, tol: float = 1e-10,
 def chi_ascent_refined(box: BoxDomain, N: int, seed: int = 0,
                        max_iter: int = 200, tol: float = 1e-10):
     """Coarse-grid ascent to locate the optimizer bump, then refinement at
-    full resolution warm-started from the coarse fixed point.
+    full resolution warm-started from the coarse fixed point: psi^2 as the
+    first potential and psi's coefficients as the first solve's start.
 
     Only the full-resolution trace is returned: each stage is monotone by
     construction, but objective values across resolutions are not
@@ -446,11 +457,12 @@ def chi_ascent_refined(box: BoxDomain, N: int, seed: int = 0,
     Nc = (max(N[0] // 2, 8), max(N[1] // 2, 8))
     _, trace_c, psi_c = chi_ascent(box, Nc, max_iter=max_iter, tol=1e-8,
                                    seed=seed)
-    M = (2 * N[0] + 2, 2 * N[1] + 2)
-    samples = inverse_transform(psi_c, M).samples
-    V0 = samples**2
+    V0 = inverse_transform(psi_c, _ascent_grid(N)).samples ** 2
+    v0 = np.zeros(N)
+    k0, k1 = min(Nc[0], N[0]), min(Nc[1], N[1])
+    v0[:k0, :k1] = psi_c.coeffs[1:k0 + 1, 1:k1 + 1]
     val, trace, psi = chi_ascent(box, N, max_iter=max_iter, tol=tol,
-                                 seed=seed, V0=V0)
+                                 seed=seed, V0=V0, v0=v0.ravel())
     return val, trace, psi
 
 
@@ -483,29 +495,36 @@ def single_mode_lower_bound(L: float) -> float:
 # -- rate-function infimum -------------------------------------------------------
 
 def _calibrate_mu(psi_sq: np.ndarray, box: BoxDomain, N, n: int, a: float,
-                  M, seed=0) -> float:
-    """Find mu >= 0 with lambda_n(mu * psi_sq) = a (monotone in mu)."""
+                  M, seed=0, mu0: float = 1.0, block=None):
+    """Find mu >= 0 with lambda_n(mu * psi_sq) = a (monotone in mu).
+
+    The bracket's upper end starts at ``mu0`` (the previous calibration's
+    mu) and doubles until it reaches the level.  Each solve warm-starts
+    from the last one's vectors, the first from ``block``; no mu is solved
+    twice, and mu = 0 not at all (the Laplacian is diagonal in the sine
+    basis).  Returns (mu, the last solve's vectors)."""
     from scipy.optimize import brentq
 
-    block = None  # warm start: each solve begins from the last one's vectors
+    seen = {0.0: float(np.sort(_laplacian_diag(box, N))[-n]) - a}
 
-    def lam(mu):
+    def f(mu):
         nonlocal block
-        op = assemble(psi_sq * mu, box, N, storage="matrix-free", grid_M=M)
-        r = eigenvalues(op, n, vectors=True, tol=1e-10, v0=block, seed=seed)
-        block = r.vectors
-        return float(r.values[n - 1])
+        if mu not in seen:
+            op = assemble(psi_sq * mu, box, N, storage="matrix-free", grid_M=M)
+            r = eigenvalues(op, n, vectors=True, tol=1e-10, v0=block, seed=seed)
+            block = r.vectors
+            seen[mu] = float(r.values[n - 1]) - a
+        return seen[mu]
 
-    lo, hi = 0.0, 1.0
-    f_hi = lam(hi) - a
+    lo, hi = 0.0, float(mu0)
     tries = 0
-    while f_hi < 0:
-        hi *= 2.0
-        f_hi = lam(hi) - a
+    while f(hi) < 0:
+        lo, hi = hi, 2.0 * hi
         tries += 1
         if tries > 60:
             raise ConvergenceError("cannot bracket the eigenvalue level")
-    return float(brentq(lambda m: lam(m) - a, lo, hi, xtol=1e-12, rtol=1e-12))
+    mu = float(brentq(f, lo, hi, xtol=1e-12, rtol=1e-12))
+    return mu, block
 
 
 def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
@@ -523,20 +542,23 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
     """
     box = BoxDomain.square(float(L))
     N = _pair(N if N is not None else int(math.ceil(nu * L)))
-    M = (2 * N[0] + 2, 2 * N[1] + 2)
+    M = _ascent_grid(N)
     if V0 is not None and np.shape(V0) != M:
         raise ContractError(f"V0 must be sampled on the grid {M}")
     V = np.array(V0, dtype=float) if V0 is not None else _start_bump(box, M)
     V = _normalized_grid(V, box.area)
 
-    mu = _calibrate_mu(V, box, N, n, a, M, seed=seed)
+    # the first solve is the only cold one: every later one warm-starts
+    # from the last block, and each calibration brackets from the last mu
+    mu, block = _calibrate_mu(V, box, N, n, a, M, seed=seed)
     best = 0.5 * mu**2
     best_V = V * mu
     energies = [best]
     for it in range(max_iter):
-        *_, psi_sq = _psi_sq_step(best_V, box, N, M, n, 1e-10, None, seed)
+        r, *_, psi_sq = _psi_sq_step(best_V, box, N, M, n, 1e-10, block, seed)
         cand = _normalized_grid(psi_sq, box.area)
-        mu = _calibrate_mu(cand, box, N, n, a, M, seed=seed)
+        mu, block = _calibrate_mu(cand, box, N, n, a, M, seed=seed, mu0=mu,
+                                  block=r.vectors)
         energy = 0.5 * mu**2
         if energy < best - 1e-12:
             best = energy
@@ -545,12 +567,11 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
         if it > 2 and abs(energies[-1] - energies[-2]) < 1e-8 * max(1.0, best):
             break
 
-    def _ball_ascent(radius, V_start, iters=12):
+    def _ball_ascent(radius, V_start, block, iters=12):
         """Maximize lambda_n over |V|_2 <= radius by the fixed-point map
         V -> radius * psi_n^2 / |psi_n^2|_2; returns the best level seen."""
         Vd = V_start * (radius / _grid_norm(V_start, box.area))
         lam = -np.inf
-        block = None
         for _ in range(iters):
             r, *_, psi_sq = _psi_sq_step(Vd, box, N, M, n, 1e-10, block, seed)
             block = r.vectors
@@ -562,7 +583,7 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
 
     # handshake: re-maximizing over the final energy ball, warm-started
     # from the optimizer, must recover at least the level a
-    lam_dual = _ball_ascent(math.sqrt(2.0 * best), best_V)
+    lam_dual = _ball_ascent(math.sqrt(2.0 * best), best_V, block)
     # level-ball dual: sup of lambda_n over |V|_2^2 <= 1/a, reported as
     # 1/(2 sup) when the sup is positive; on small boxes the ball cannot
     # lift the eigenvalue above zero and the dual is unattained (the two
@@ -570,7 +591,7 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
     dual_level_ball = None
     s_star = None
     if a > 0:
-        s_star = _ball_ascent(math.sqrt(1.0 / a), best_V)
+        s_star = _ball_ascent(math.sqrt(1.0 / a), best_V, block)
         if s_star > 0:
             dual_level_ball = 1.0 / (2.0 * s_star)
     return {

@@ -100,8 +100,10 @@ def _potential_band(potential) -> tuple[int, int]:
     return None  # grid potential: band unknown
 
 
-def _operator_grid(box: BoxDomain, N, potential) -> tuple[int, int]:
-    band = _potential_band(potential)
+def _operator_grid(N, band) -> tuple[int, int]:
+    """Smallest FFT-fast quadrature grid on which the pairings of the modes
+    1..N with a potential of the given band (2N per axis when None, as for
+    a potential sampled on the grid) are alias-free."""
     out = []
     for i in range(2):
         kv = band[i] if band is not None else 2 * N[i]
@@ -147,7 +149,8 @@ def assemble(potential, box: BoxDomain, N, shift: float = 0.0,
     if N[0] < 1 or N[1] < 1:
         raise ContractError("operator truncation must be >= 1")
     dim = N[0] * N[1]
-    M = tuple(grid_M) if grid_M is not None else _operator_grid(box, N, potential)
+    M = (tuple(grid_M) if grid_M is not None
+         else _operator_grid(N, _potential_band(potential)))
     diag = _laplacian_diag(box, N) - shift
 
     if storage == "auto":

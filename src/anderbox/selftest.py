@@ -65,6 +65,25 @@ def run(verbose: bool = True) -> int:
     check("zero-potential spectrum, matrix-free iterative",
           np.abs(r.values - exact).max() < 1e-8 and r.residuals.max() <= 1e-9)
 
+    # a psi^2 potential of band 2N: every grid M > 2N integrates the ascent
+    # step exactly, M = 2N does not
+    from .experiments import _ascent_grid, _normalized_grid, _psi_sq_step
+
+    N = 8
+    cpsi = np.zeros((N + 1, N + 1))
+    cpsi[1:, 1:] = rng.standard_normal((N, N))
+    psi = SpectralField(box, DIRICHLET, cpsi)
+
+    def ascent_step(M):
+        V = _normalized_grid(inverse_transform(psi, M).samples ** 2, box.area)
+        r, l4sq, grad, *_ = _psi_sq_step(V, box, N, M, 1, 1e-12, None, 0)
+        return np.array([r.values[0], l4sq, grad])
+
+    ref = ascent_step(_ascent_grid(N))
+    check("variational ascent grid alias-free",
+          np.abs(ascent_step((2 * N + 1,) * 2) - ref).max() < 1e-12
+          and np.abs(ascent_step((2 * N,) * 2) - ref).max() > 1e-7)
+
     ims = ims_partition(2.0, 0.5)
     tgrid = np.linspace(-3, 7, 2001)
     check("squared partition sums to 1",

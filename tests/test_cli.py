@@ -176,3 +176,15 @@ class TestCLI:
         assert rc == 0
         data = json.loads((out / "chi_manifest.json").read_text())
         assert "chi" in data["summary"]
+
+    def test_manifest_records_what_ran(self, tmp_path, capsys):
+        # chi runs its own ladder and resolution below L = 8 and above
+        # nu = 2.5; the manifest and a stderr note say so
+        out = tmp_path / "run"
+        rc = main(["chi", "--out", str(out),
+                   "--set", "L_ladder=1 2 4", "--set", "nu=16"])
+        assert rc == 0
+        assert capsys.readouterr().err.count("note:") == 1
+        cfg = json.loads((out / "chi_manifest.json").read_text())["config"]
+        assert cfg["L_ladder"] == [16.0, 32.0, 48.0]
+        assert cfg["nu"] == 2.5

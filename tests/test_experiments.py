@@ -4,9 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from anderbox import experiments
 from anderbox.errors import ContractError
 from anderbox.experiments import (
     ExperimentConfig,
+    _ascent_grid,
+    _normalized_grid,
+    _psi_sq_step,
     chi_ascent,
     chi_estimate,
     growth_study,
@@ -16,7 +20,7 @@ from anderbox.experiments import (
     small_noise_study,
     tail_study,
 )
-from anderbox.geometry import BoxDomain
+from anderbox.geometry import DIRICHLET, BoxDomain, SpectralField, inverse_transform
 
 
 class TestConfig:
@@ -196,3 +200,65 @@ class TestRateInfimum:
             es.append(out["energy"])
         assert es[1] <= es[0] + 1e-6
         assert es[2] <= es[1] + 1e-6
+
+
+class TestAscentGrid:
+    """The psi^2 potentials of the variational ascents have band 2N, so any
+    quadrature grid M > 2N gives the same step; M = 2N aliases."""
+
+    @staticmethod
+    def _step(psi, N, M):
+        V = _normalized_grid(inverse_transform(psi, M).samples ** 2, psi.box.area)
+        r, l4sq, grad, *_ = _psi_sq_step(V, psi.box, N, M, 1, 1e-12, None, 0)
+        return np.array([r.values[0], l4sq, grad])
+
+    def test_fast_grid_matches_raw_grid(self):
+        N = 16
+        assert _ascent_grid(N) == (36, 36)  # raw 2N + 2 = 34 = 2 * 17
+        rng = np.random.default_rng(5)
+        c = np.zeros((N + 1, N + 1))
+        c[1:, 1:] = rng.standard_normal((N, N))
+        psi = SpectralField(BoxDomain.square(2.0), DIRICHLET, c)
+        raw = self._step(psi, N, (2 * N + 2, 2 * N + 2))
+        assert np.abs(self._step(psi, N, _ascent_grid(N)) - raw).max() < 1e-12
+        assert np.abs(self._step(psi, N, (2 * N, 2 * N)) - raw).max() > 1e-7
+
+    def test_V0_on_wrong_grid_rejected(self):
+        N = 16
+        bad = np.ones((2 * N + 2, 2 * N + 2))
+        with pytest.raises(ContractError):
+            chi_ascent(BoxDomain.square(8.0), N, max_iter=2, V0=bad)
+        with pytest.raises(ContractError):
+            rate_infimum_estimate(L=2.0, n=1, a=1.0, N=N, max_iter=1, V0=bad)
+
+    def test_rate_inf_accepts_own_optimizer(self):
+        res = rate_infimum_estimate(L=1.0, n=1, a=1.0, nu=8, max_iter=2)
+        assert res["optimizer_grid"].shape == res["grid_M"] == _ascent_grid(8)
+        again = rate_infimum_estimate(L=1.0, n=1, a=1.0, nu=8, max_iter=2,
+                                      V0=res["optimizer_grid"])
+        assert again["energy"] <= res["energy"] + 1e-9
+
+
+class TestWarmStarts:
+    """Only the first solve of a chi rung or a rate-infimum call is cold;
+    every later one starts from the previous eigenvectors."""
+
+    @pytest.fixture
+    def cold_solves(self, monkeypatch):
+        cold = []
+        real = experiments.eigenvalues
+
+        def counting(op, n, **kw):
+            cold.append(kw.get("v0") is None)
+            return real(op, n, **kw)
+
+        monkeypatch.setattr(experiments, "eigenvalues", counting)
+        return cold
+
+    def test_chi_estimate_one_cold_solve_per_rung(self, cold_solves):
+        chi_estimate(L_ladder=(8.0, 12.0), nu=2.0, max_iter=30)
+        assert sum(cold_solves) == 2 and len(cold_solves) > 2
+
+    def test_rate_infimum_one_cold_solve(self, cold_solves):
+        rate_infimum_estimate(L=1.0, n=1, a=1.0, nu=8, max_iter=4)
+        assert sum(cold_solves) == 1 and len(cold_solves) > 1
