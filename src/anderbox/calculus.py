@@ -1,5 +1,5 @@
 """Dyadic frequency analysis: partition of unity, Littlewood-Paley blocks,
-Fourier multipliers, Laplacian/resolvent, Besov norms.
+Fourier multipliers, Laplacian/resolvent.
 
 Frequencies on a box with sides (s1, s2) are the per-axis rescaled indices
 (k1/s1, k2/s2); every multiplier below acts coefficient-wise on those.
@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ContractError
-from .geometry import BoxDomain, GridField, SpectralField, inverse_transform
+from .geometry import BoxDomain, SpectralField
 
 # Radii of the base profile: rho_{-1} = 1 inside INNER, 0 outside OUTER.
 _INNER = 0.75
@@ -105,61 +105,3 @@ def laplacian(u: SpectralField) -> SpectralField:
 def resolvent(u: SpectralField, a: float = 1.0) -> SpectralField:
     """(a - Laplacian)^{-1} u via the symbol (a + pi^2 |x|^2)^{-1}."""
     return multiplier(u, lambda x1, x2: 1.0 / (a + np.pi**2 * (x1**2 + x2**2)))
-
-
-@dataclass(frozen=True)
-class BesovSpec:
-    alpha: float
-    p: float
-    q: float
-
-    def __post_init__(self):
-        for v in (self.p, self.q):
-            if not (v >= 1):
-                raise ContractError("p, q must lie in [1, inf]")
-
-
-def grid_lp_norm(g: GridField, p: float) -> float:
-    a = np.abs(g.samples)
-    if np.isinf(p):
-        return float(a.max(initial=0.0))
-    return float((np.sum(a**p) * g.quad_weight()) ** (1.0 / p))
-
-
-def besov_norm(u: SpectralField, spec: BesovSpec, P: DyadicPartition | None = None,
-               grid=None) -> float:
-    """Littlewood-Paley Besov norm of a truncated field.
-
-    Block L^p norms are evaluated on the 2N midpoint grid (documented
-    underestimate of L^inf by the grid modulus of continuity).
-    """
-    if P is None:
-        P = make_partition(levels_for(u))
-    J = max(P.J, levels_for(u))
-    M = grid if grid is not None else (2 * max(u.trunc[0], 1), 2 * max(u.trunc[1], 1))
-    rad = frequency_radii(u.box, u.coeffs.shape)
-    terms = []
-    for j in range(-1, J + 1):
-        w = P.rho(j, rad)
-        if not np.any(w):
-            continue
-        blk = SpectralField(u.box, u.parity, u.coeffs * w)
-        lp = grid_lp_norm(inverse_transform(blk, M), spec.p)
-        terms.append(2.0 ** (j * spec.alpha) * lp)
-    t = np.asarray(terms)
-    if np.isinf(spec.q):
-        return float(t.max(initial=0.0))
-    return float((t**spec.q).sum() ** (1.0 / spec.q))
-
-
-def sobolev_norm(u: SpectralField, alpha: float) -> float:
-    """Explicit H^alpha norm sqrt(sum (1 + |k/s|^2)^alpha <u, .>^2)."""
-    k1 = np.arange(u.coeffs.shape[0])[:, None] / u.box.sides[0]
-    k2 = np.arange(u.coeffs.shape[1])[None, :] / u.box.sides[1]
-    w = (1.0 + k1**2 + k2**2) ** alpha
-    return float(np.sqrt(np.sum(w * u.coeffs**2)))
-
-
-def holder_norm(u: SpectralField, alpha: float, P: DyadicPartition | None = None) -> float:
-    """C^alpha = B^{alpha}_{inf,inf} norm (grid-max flavour)."""
-    return besov_norm(u, BesovSpec(alpha, np.inf, np.inf), P)

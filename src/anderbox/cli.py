@@ -16,6 +16,10 @@ import os
 import sys
 import time
 
+# the studies' block products are too small to gain from BLAS threads, which
+# only burn CPU; set before numpy loads OpenBLAS, and a user's value wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__

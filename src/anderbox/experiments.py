@@ -116,40 +116,57 @@ def _fmt17(x):
     return format(x, ".17g") if isinstance(x, float) else x
 
 
-def _map_seeds(fn, seeds, workers: int):
+STACK = 8  # consecutive seeds whose same-shape problems are solved as one stack
+
+
+def _map_seeds(fn, args, seeds, workers: int) -> list:
+    """``fn((args, group))`` over groups of ``STACK`` consecutive seeds,
+    each returning one result per seed; the results in seed order.  The
+    groups, and so the stacks, do not depend on ``workers``."""
+    tasks = [(args, seeds[i:i + STACK]) for i in range(0, len(seeds), STACK)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, seeds))
-    return [fn(s) for s in seeds]
+            results = list(ex.map(fn, tasks))
+    else:
+        results = [fn(t) for t in tasks]
+    return [r for group in results for r in group]
 
 
 # -- growth in the box size -------------------------------------------------
 
-def _growth_replica(args):
-    cfg_d, seed = args
+def _growth_group(task):
+    """Every rung of the ladder for a group of seeds: each seed's parent
+    draw is restricted to all rungs first, then each rung is one stacked
+    solve.  Returns per seed the (L, seed, values, wall ms) of each rung,
+    where a rung's wall time (restriction, assembly and solve) is shared
+    evenly by the group."""
+    cfg_d, seeds = task
     cfg = ExperimentConfig(**cfg_d)
     tau = INDICATOR  # exact restriction calculus for the coupled ladder
     Lmax = cfg.L_ladder[-1]
     parent = BoxDomain.square(Lmax)
-    out = []
+    boxes = {L: BoxDomain(((Lmax - L) / 2.0, (Lmax - L) / 2.0), (L, L))
+             for L in cfg.L_ladder}
+    pots = {L: [None] * len(seeds) for L in cfg.L_ladder}
+    wall = dict.fromkeys(cfg.L_ladder, 0.0)
     if cfg.beta != 0.0:
         n_par = max(mollified_band(parent, cfg.eps, tau)[0], 1)
-        draw = sample(parent, n_par, seed)
+        for i, seed in enumerate(seeds):
+            draw = sample(parent, n_par, seed)
+            for L in cfg.L_ladder:
+                t0 = time.perf_counter()
+                pots[L][i] = restrict(draw, cfg.eps, boxes[L], 2 * cfg.trunc(L), tau) * cfg.beta
+                wall[L] += time.perf_counter() - t0
+    out = [[] for _ in seeds]
     for L in cfg.L_ladder:
         t0 = time.perf_counter()
-        N = cfg.trunc(L)
-        y = ((Lmax - L) / 2.0, (Lmax - L) / 2.0)
-        box = BoxDomain(y, (L, L))
-        if cfg.beta == 0.0:
-            op = assemble(None, box, N, storage="matrix-free")
-        else:
-            pot = restrict(draw, cfg.eps, box, 2 * N, tau) * cfg.beta
-            op = assemble(pot, box, N, storage="matrix-free")
-        vals = eigenvalues(op, cfg.n_eigs, tol=1e-8, seed=seed).values
-        wall = (time.perf_counter() - t0) * 1e3
-        out.append((L, seed, vals, wall))
+        ops = [assemble(p, boxes[L], cfg.trunc(L), storage="matrix-free") for p in pots[L]]
+        res = eigenvalues(ops, cfg.n_eigs, tol=1e-8, seed=seeds)
+        ms = (wall[L] + time.perf_counter() - t0) * 1e3 / len(seeds)
+        for row, seed, r in zip(out, seeds, res):
+            row.append((L, seed, r.values, ms))
     return out
 
 
@@ -169,8 +186,7 @@ def growth_study(cfg: ExperimentConfig) -> StudyRecord:
     c_eps = (TWO_PI_INV * math.log(1.0 / cfg.eps) + profile_constant(INDICATOR)
              ) * cfg.beta**2
     seeds = [cfg.seed + i for i in range(cfg.replicas)]
-    results = _map_seeds(_growth_replica, [(asdict(cfg), s) for s in seeds],
-                         cfg.workers)
+    results = _map_seeds(_growth_group, asdict(cfg), seeds, cfg.workers)
     violations = 0
     for per_seed in results:
         prev = None
@@ -202,29 +218,29 @@ def growth_study(cfg: ExperimentConfig) -> StudyRecord:
 
 # -- mollified single-box studies ---------------------------------------------
 
-def _mollified_replica(args):
-    """Top eigenvalue of Laplacian + amp * xi_eps on Q_L for one seed, and
-    the wall time in ms; module-level so a worker pool can pickle it."""
-    (L, eps, amp, N, band, tau, tol, seed) = args
+def _mollified_group(task):
+    """Top eigenvalue of Laplacian + amp * xi_eps on Q_L for each seed of a
+    group, solved as one stack, with the group's wall time in ms shared
+    evenly; module-level so a worker pool can pickle it."""
+    (L, eps, amp, N, band, tau, tol), seeds = task
     box = BoxDomain.square(L)
     t0 = time.perf_counter()
-    draw = sample(box, band, seed)
-    xi = mollify(draw, eps, tau)
-    op = assemble(xi * amp, box, N, storage="matrix-free")
-    lam = float(eigenvalues(op, 1, tol=tol, seed=seed).values[0])
-    return lam, (time.perf_counter() - t0) * 1e3
+    ops = [assemble(mollify(sample(box, band, s), eps, tau) * amp, box, N,
+                    storage="matrix-free") for s in seeds]
+    res = eigenvalues(ops, 1, tol=tol, seed=seeds)
+    ms = (time.perf_counter() - t0) * 1e3 / len(seeds)
+    return [(float(r.values[0]), ms) for r in res]
 
 
 def _mollified_rows(rec: StudyRecord, cfg: ExperimentConfig, seeds, L, eps,
                     amp, tau, tol, value, eps_col=None) -> np.ndarray:
-    """Run ``_mollified_replica`` over ``seeds`` at the truncation
+    """Run ``_mollified_group`` over ``seeds`` at the truncation
     N(cfg.L), map each eigenvalue through ``value`` here in the parent
     process, and add the rows (L, eps_col or eps, amp, seed, 1, value).
     Returns the values in seed order."""
     N = cfg.trunc(cfg.L)
     band = mollified_band(BoxDomain.square(L), eps, tau)[0]
-    res = _map_seeds(_mollified_replica,
-                     [(L, eps, amp, N, band, tau, tol, s) for s in seeds],
+    res = _map_seeds(_mollified_group, (L, eps, amp, N, band, tau, tol), seeds,
                      cfg.workers)
     vals = []
     for s, (lam, wall) in zip(seeds, res):
@@ -485,11 +501,6 @@ def chi_estimate(L_ladder=(16.0, 32.0, 48.0), nu: float = 2.5,
         traces[float(L)] = trace
     return {"per_L": values, "traces": traces,
             "chi": values[float(L_ladder[-1])]}
-
-
-def single_mode_lower_bound(L: float) -> float:
-    """Objective value of the first sine mode: 6/L - 8 pi^2 / L^2."""
-    return 6.0 / L - 8.0 * np.pi**2 / L**2
 
 
 # -- rate-function infimum -------------------------------------------------------

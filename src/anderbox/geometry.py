@@ -247,26 +247,6 @@ def _basis_matrix_1d(x, parity: Parity, origin: float, s: float, N: int) -> np.n
     return B
 
 
-def basis_value(k, parity, box: BoxDomain, x) -> np.ndarray:
-    """Value of the orthonormal basis function of index k at point(s) x."""
-    parity = parity_pair(parity)
-    k = (int(k[0]), int(k[1]))
-    for axis in range(2):
-        if parity[axis] is ODD and k[axis] == 0:
-            raise ContractError(f"k[{axis}] = 0 is invalid on an odd axis")
-    pts = np.asarray(x, dtype=float)
-    flat = pts.reshape(-1, 2)
-    val = np.ones(flat.shape[0])
-    for axis in range(2):
-        t = flat[:, axis] - box.origin[axis]
-        s = box.sides[axis]
-        if parity[axis] is ODD:
-            val = val * (np.sqrt(2.0 / s) * np.sin(np.pi * k[axis] * t / s))
-        else:
-            val = val * (float(nu(k[axis])) * np.sqrt(2.0 / s) * np.cos(np.pi * k[axis] * t / s))
-    return val.reshape(pts.shape[:-1]) if pts.ndim > 1 else float(val[0])
-
-
 # -- fast transforms -----------------------------------------------------
 
 def _analysis_axis(vals: np.ndarray, parity: Parity, s: float, N: int, axis: int) -> np.ndarray:
@@ -342,47 +322,3 @@ def inverse_transform(u: SpectralField, M=None) -> GridField:
     v = _synthesis_axis(u.coeffs, u.parity[0], u.box.sides[0], M[0], axis=0)
     v = _synthesis_axis(v, u.parity[1], u.box.sides[1], M[1], axis=1)
     return GridField(u.box, v)
-
-
-def _axis_integrals(parity: Parity, s: float, N: int) -> np.ndarray:
-    """Exact integrals of the 1d basis functions over [0, s]."""
-    k = np.arange(N + 1)
-    if parity is EVEN:
-        out = np.zeros(N + 1)
-        out[0] = np.sqrt(s)  # nu_0 sqrt(2/s) * s
-        return out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sqrt(2.0 * s) * (1.0 - (-1.0) ** k) / (np.pi * k)
-    out[0] = 0.0
-    return out
-
-
-def field_integral(u: SpectralField) -> float:
-    """Exact integral of the represented function over the box."""
-    w1 = _axis_integrals(u.parity[0], u.box.sides[0], u.trunc[0])
-    w2 = _axis_integrals(u.parity[1], u.box.sides[1], u.trunc[1])
-    return float(w1 @ u.coeffs @ w2)
-
-
-def inner_product(u: SpectralField, v: SpectralField) -> float:
-    """L2 inner product over the box.
-
-    Same parity: coefficient pairing (Parseval).  Mixed parity: expand the
-    alias-free product in its own parity basis and integrate exactly (a
-    plain grid quadrature is not exact for odd-parity integrands).
-    """
-    if u.box != v.box:
-        raise ContractError("inner_product: fields live on different boxes")
-    if u.parity == v.parity:
-        n = (max(u.trunc[0], v.trunc[0]), max(u.trunc[1], v.trunc[1]))
-        return float(np.sum(u.pad_to(n).coeffs * v.pad_to(n).coeffs))
-    M = (
-        _fft.next_fast_len(2 * (u.trunc[0] + v.trunc[0]) + 2, real=True),
-        _fft.next_fast_len(2 * (u.trunc[1] + v.trunc[1]) + 2, real=True),
-    )
-    gu = inverse_transform(u, M)
-    gv = inverse_transform(v, M)
-    pp = product_parity(u.parity, v.parity)
-    N_out = (u.trunc[0] + v.trunc[0], u.trunc[1] + v.trunc[1])
-    prod = forward_transform(GridField(u.box, gu.samples * gv.samples), pp, N_out)
-    return field_integral(prod)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .calculus import _bump_ramp
-from .errors import CapacityError, ContractError
+from .errors import CapacityError, ContractError, ConvergenceError
 from .geometry import (
     DIRICHLET,
     BoxDomain,
@@ -32,6 +32,10 @@ from .noise import EnhancedNoise, restrict
 from .solvers import dense_top_eigs, lobpcg_top
 
 DENSE_CAP = 4096  # largest matrix dimension assembled densely by default
+# doubles of sine-transform grid per block of a stacked apply: 512 KB keeps
+# a block's transients in a 2 MB L2 cache (at dim 1024, eight problems of
+# six columns solve in 64 ms at this size and 88 ms in one 2 MB block)
+TRANSFORM_BLOCK = 1 << 16
 
 
 def _laplacian_diag(box: BoxDomain, N) -> np.ndarray:
@@ -43,9 +47,14 @@ def _laplacian_diag(box: BoxDomain, N) -> np.ndarray:
 @dataclass
 class GalerkinOperator:
     """Symmetric Galerkin matrix (or matrix-free apply) of Laplacian + V
-    minus a constant shift, on the Dirichlet modes 1..N per axis."""
+    minus a constant shift, on the Dirichlet modes 1..N per axis.
 
-    box: BoxDomain
+    A matrix-free operator holds a stack of B problems of one shape (B = 1
+    from ``assemble``, more from ``stack``): one Laplacian-plus-constant
+    diagonal (B, dim) and, when V is not constant, one potential sample
+    array (B, M0, M1) per problem."""
+
+    box: BoxDomain                     # of the first problem in a stack
     trunc: tuple[int, int]
     shift: float
     storage: str                       # "dense" | "matrix-free"
@@ -58,30 +67,61 @@ class GalerkinOperator:
     def dim(self) -> int:
         return self.trunc[0] * self.trunc[1]
 
-    def apply(self, c: np.ndarray) -> np.ndarray:
-        """A c for one coefficient vector (dim,) or a block of columns
-        (dim, k); a block costs one sine transform per axis and direction."""
+    def apply(self, c: np.ndarray, which=None) -> np.ndarray:
+        """A c for one problem's vector (dim,) or block of columns (dim, k),
+        or for a stack's blocks (b, dim, k) of the problems ``which`` (all
+        when None).  Each axis and direction costs one sine transform per
+        group of problems whose grids fit ``TRANSFORM_BLOCK``."""
         if self.storage == "dense":
             return self.matrix @ c
-        C = np.asarray(c).reshape(self.dim, -1)
-        out = self.diag[:, None] * C
+        C = c if np.ndim(c) == 3 else np.asarray(c).reshape(1, self.dim, -1)
+        # work on rows (b, k, dim), the layout the sine transforms want
+        rows = C.swapaxes(1, 2)
+        sel = slice(None) if which is None else which
+        out = rows * self.diag[sel][:, None, :]
         if self._v_grid is not None:
             (N0, N1), (M0, M1) = self.trunc, self._grid_M
-            # block axis first; Dirichlet modes 1..N sit in DST slots 0..N-1
-            g = _fft.dst(C.T.reshape(-1, N0, N1), type=3, n=M0, axis=1)
-            g = _fft.dst(g, type=3, n=M1, axis=2, overwrite_x=True)
-            g *= self._v_grid
-            w = _fft.dst(g, type=2, axis=2, overwrite_x=True)[:, :, :N1]
-            w = _fft.dst(w, type=2, axis=1)[:, :N0, :]
-            # synthesis sqrt(2/s)/2 times analysis sqrt(s/2)/M, per axis
-            out += w.reshape(-1, self.dim).T * (0.25 / (M0 * M1))
-        return out.reshape(np.shape(c))
+            v_grid = self._v_grid[sel]
+            b, k, _ = rows.shape
+            step = max(1, TRANSFORM_BLOCK // (k * M0 * M1))  # problems per block
+            for s in range(0, b, step):
+                # Dirichlet modes 1..N sit in DST slots 0..N-1
+                g = _fft.dst(rows[s:s + step].reshape(-1, N0, N1), type=3, n=M0, axis=1)
+                g = _fft.dst(g, type=3, n=M1, axis=2, overwrite_x=True)
+                g = g.reshape(-1, k, M0, M1)
+                g *= v_grid[s:s + step, None]
+                w = _fft.dst(g.reshape(-1, M0, M1), type=2, axis=2,
+                             overwrite_x=True)[:, :, :N1]
+                w = _fft.dst(w, type=2, axis=1)[:, :N0, :]
+                # synthesis sqrt(2/s)/2 times analysis sqrt(s/2)/M, per axis
+                out[s:s + step] += w.reshape(-1, k, self.dim) * (0.25 / (M0 * M1))
+        return out.swapaxes(1, 2).reshape(np.shape(c))
 
     def coeff_field(self, c: np.ndarray) -> SpectralField:
         # coefficient layout: flattened (k1-1, k2-1) row-major
         full = np.zeros((self.trunc[0] + 1, self.trunc[1] + 1))
         full[1:, 1:] = c.reshape(self.trunc)
         return SpectralField(self.box, DIRICHLET, full)
+
+
+def stack(ops) -> GalerkinOperator:
+    """One matrix-free operator whose problems are those of ``ops``, in
+    order; they must share the truncation, the quadrature grid and the box
+    sides (origins may differ)."""
+    first = ops[0]
+    for op in ops:
+        if op.storage != "matrix-free":
+            raise ContractError("only matrix-free operators can be stacked")
+        if (op.trunc, op._grid_M, op.box.sides) != (first.trunc, first._grid_M, first.box.sides):
+            raise ContractError("stacked operators need one truncation, grid and box sides")
+    if len(ops) == 1:
+        return first
+    v_grid = None
+    if any(op._v_grid is not None for op in ops):
+        zero = np.zeros((1, *first._grid_M))
+        v_grid = np.concatenate([zero if op._v_grid is None else op._v_grid for op in ops])
+    return GalerkinOperator(first.box, first.trunc, first.shift, "matrix-free", None,
+                            v_grid, first._grid_M, np.concatenate([op.diag for op in ops]))
 
 
 @dataclass
@@ -166,16 +206,16 @@ def assemble(potential, box: BoxDomain, N, shift: float = 0.0,
         if np.isscalar(potential):
             diag = diag + float(potential)
         else:
-            v_grid = potential_on_grid(potential, box, M)
+            v_grid = potential_on_grid(potential, box, M)[None]
 
-    op = GalerkinOperator(box, N, shift, "matrix-free", None, v_grid, M, diag)
+    op = GalerkinOperator(box, N, shift, "matrix-free", None, v_grid, M, diag[None])
     if storage == "dense":
         A = np.empty((dim, dim))
         k = max(1, (1 << 20) // (M[0] * M[1]))  # 8 MB per transient block
         for j in range(0, dim, k):
             A[:, j:j + k] = op.apply(np.eye(dim, min(k, dim - j), -j))
         # symmetric to round-off (|A - A^T| ~ 1e-15); eigh reads one triangle
-        op = GalerkinOperator(box, N, shift, "dense", A, v_grid, M, diag)
+        op = GalerkinOperator(box, N, shift, "dense", A, v_grid, M, diag[None])
     return op
 
 
@@ -197,47 +237,39 @@ def operator_from_noise(en: EnhancedNoise, N, beta: float = 1.0,
     raise ContractError(f"unknown renorm mode {renorm!r}")
 
 
-def eigenvalues(op: GalerkinOperator, n: int, vectors: bool = False,
-                tol: float = 1e-9, v0: np.ndarray | None = None,
-                seed: int = 0) -> EigenResult:
+def eigenvalues(op, n: int, vectors: bool = False, tol: float = 1e-9,
+                v0: np.ndarray | None = None, seed=0):
     """Top-n eigenvalues (descending, multiplicities kept adjacent), with
     the true residuals of the returned pairs.
 
-    Dense operators go to LAPACK; matrix-free ones to LOBPCG, warm-started
-    from ``v0`` (one vector or up to n columns) and accepted at ``tol``.
+    A dense operator goes to LAPACK.  A matrix-free one, or a list of them
+    (one EigenResult each), goes to LOBPCG as one stack (see ``stack``),
+    with ``seed`` an int or one per operator, warm-started from ``v0`` (one
+    vector or up to n columns, or (B, dim, m)) and accepted at ``tol``.
+    Its ConvergenceError carries the residuals, (B, n) for a list.
     """
-    if n < 1 or n > op.dim:
-        raise ContractError(f"requested {n} eigenvalues of a dim-{op.dim} operator")
-    if op.storage == "dense":
-        A = op.matrix
-        vals, vecs = dense_top_eigs(A, n, vectors=True)
-        res = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
+    many = isinstance(op, (list, tuple))
+    ops = list(op) if many else [op]
+    if n < 1 or n > ops[0].dim:
+        raise ContractError(f"requested {n} eigenvalues of a dim-{ops[0].dim} operator")
+    if not many and op.storage == "dense":
+        vals, vecs = dense_top_eigs(op.matrix, n, vectors=True)
+        res = np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)
         return EigenResult(vals, vecs if vectors else None, n, res)
-    v_max = float(np.abs(op._v_grid).max()) if op._v_grid is not None else 0.0
-    precond = 1.0 / (-op.diag + op.diag.max() + v_max + 1.0)
-    vals, vecs, res = lobpcg_top(op.apply, op.dim, n, precond, v0=v0, tol=tol,
-                                 seed=seed)
-    return EigenResult(vals, vecs if vectors else None, n, res)
-
-
-def min_max(op: GalerkinOperator, n: int, trial: np.ndarray) -> float:
-    """inf of the Rayleigh quotient over the span of the trial columns.
-
-    With an n-dimensional trial space the value is a lower bound for the
-    n-th eigenvalue, with equality when the span is the top-n eigenspace.
-    """
-    V = np.asarray(trial, dtype=float)
-    if V.ndim != 2 or V.shape[1] != n:
-        raise ContractError(f"trial subspace must have {n} columns")
-    G = V.T @ V
-    if np.linalg.cond(G) > 1e12:
-        raise ContractError("trial subspace is (numerically) rank-deficient")
-    H = V.T @ op.apply(V)
-    H = 0.5 * (H + H.T)
-    from scipy.linalg import eigh as _geigh
-
-    vals = _geigh(H, G, eigvals_only=True)
-    return float(vals[0])
+    st = stack(ops)
+    v_max = 0.0 if st._v_grid is None else np.abs(st._v_grid).max(axis=(1, 2))[:, None]
+    precond = 1.0 / (-st.diag + st.diag.max(axis=1, keepdims=True) + v_max + 1.0)
+    if v0 is not None:
+        v0 = np.reshape(v0, (len(ops), st.dim, -1))
+    try:
+        vals, vecs, res = lobpcg_top(st.apply, n, precond, v0=v0, tol=tol,
+                                     seed=np.broadcast_to(seed, len(ops)))
+    except ConvergenceError as exc:
+        exc.residuals = exc.residuals if many else exc.residuals[0]
+        raise
+    out = [EigenResult(vals[i], vecs[i] if vectors else None, n, res[i])
+           for i in range(len(ops))]
+    return out if many else out[0]
 
 
 # -- IMS partition ---------------------------------------------------------
@@ -368,16 +400,17 @@ def box_bounds_check(L: float, r: float, a: float, eps: float, seeds,
         op_pen = assemble(vg - phi, study, N_L, storage="matrix-free", grid_M=M)
         lam_pen = eigenvalues(op_pen, 1, tol=1e-8, seed=seed).values[0]
 
-        def top(t, side, n=1):
-            """Top n eigenvalues on the tile t of the given side length."""
+        def top(boxes, side, n=1):
+            """Top n eigenvalues on each of the boxes of the given side
+            length, solved as one stack."""
             Nt = _pair(int(np.ceil(nu_trunc * side)))
-            pt = restrict(draw, eps, t, (2 * Nt[0], 2 * Nt[1]), tau)
-            return eigenvalues(assemble(pt, t, Nt, storage="matrix-free"),
-                               n, tol=1e-8, seed=seed).values
+            ops = [assemble(restrict(draw, eps, t, (2 * Nt[0], 2 * Nt[1]), tau),
+                            t, Nt, storage="matrix-free") for t in boxes]
+            return [r.values for r in eigenvalues(ops, n, tol=1e-8, seed=seed)]
 
-        tile_vals = [top(t, r + a)[0] for t in tiles]
-        dis_vals = [top(t, r)[0] for t in disjoint]
-        lam_sub = top(disjoint[0], r, 2)
+        tile_vals = [v[0] for v in top(tiles, r + a)]
+        dis_vals = [v[0] for v in top(disjoint, r)]
+        lam_sub = top(disjoint[:1], r, 2)[0]
 
         report["draws"] += 1
         if not lam_parent[0] <= lam_pen + float(phi.max()) + slack:

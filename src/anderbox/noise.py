@@ -324,21 +324,6 @@ def restrict(draw: NoiseDraw, eps: float, subbox: BoxDomain, K,
     return SpectralField(subbox, NEUMANN, out)
 
 
-def restriction_variances(parent: BoxDomain, eps: float, subbox: BoxDomain,
-                          K, N_parent, tau: CutoffProfile = INDICATOR) -> np.ndarray:
-    """Exact per-coefficient variances of the restricted field."""
-    K = _pair(K)
-    N_parent = _pair(N_parent)
-    k1 = np.arange(N_parent[0] + 1)[:, None] * (eps / parent.sides[0])
-    k2 = np.arange(N_parent[1] + 1)[None, :] * (eps / parent.sides[1])
-    w = tau(k1, k2) ** 2
-    z1 = subbox.origin[0] - parent.origin[0]
-    z2 = subbox.origin[1] - parent.origin[1]
-    B1 = b_matrix(N_parent[0], K[0], z1, subbox.sides[0], parent.sides[0])
-    B2 = b_matrix(N_parent[1], K[1], z2, subbox.sides[1], parent.sides[1])
-    return (B1**2).T @ w @ (B2**2)
-
-
 # -- binary export --------------------------------------------------------
 
 def save_draw(path, draw: NoiseDraw, eps: float | None = None,

@@ -19,8 +19,6 @@ from .calculus import (
     levels_for,
     make_partition,
     resolvent,
-    sobolev_norm,
-    holder_norm,
 )
 from .errors import ContractError
 from .geometry import (
@@ -164,42 +162,3 @@ def enhanced_product(f: SpectralField, noise, P: DyadicPartition | None = None) 
         + plain_product(f, Xi)
         + split_f_xi.hi
     )
-
-
-def bony_ratio_report(samples: int, N: int = 16, L: float = 1.0,
-                      alpha: float = -1.05, gamma: float = 0.8,
-                      seed: int = 0) -> dict:
-    """Empirical constants in the three Bony-type inequalities.
-
-    For random Dirichlet f and Neumann xi reports the max over samples of
-
-        hi:   |f |> xi|_{H^{alpha+gamma}} / (|f|_{H^gamma} |xi|_{C^alpha})
-        lo:   |f <| xi|_{H^{alpha}}       / (|f|_{H^gamma} |xi|_{C^alpha})
-        reso: |f o xi|_{H^{alpha+gamma}}  / (|f|_{H^gamma} |xi|_{C^alpha})
-
-    The constants are reported, never asserted against a fixed bound.
-    """
-    if samples < 1:
-        raise ContractError("samples >= 1 required")
-    from .geometry import BoxDomain, DIRICHLET, NEUMANN
-
-    rng = np.random.default_rng(seed)
-    box = BoxDomain.square(L)
-    out = {"lo": 0.0, "reso": 0.0, "hi": 0.0, "skipped": 0}
-    for _ in range(samples):
-        cf = rng.standard_normal((N + 1, N + 1))
-        cf[0, :] = 0.0
-        cf[:, 0] = 0.0
-        cx = rng.standard_normal((N + 1, N + 1))
-        f = SpectralField(box, DIRICHLET, cf)
-        xi = SpectralField(box, NEUMANN, cx)
-        nf = sobolev_norm(f, gamma)
-        nx = holder_norm(xi, alpha)
-        if nf == 0.0 or nx == 0.0:
-            out["skipped"] += 1
-            continue
-        t = bony_split(f, xi)
-        out["hi"] = max(out["hi"], sobolev_norm(t.hi, alpha + gamma) / (nf * nx))
-        out["lo"] = max(out["lo"], sobolev_norm(t.lo, alpha) / (nf * nx))
-        out["reso"] = max(out["reso"], sobolev_norm(t.reso, alpha + gamma) / (nf * nx))
-    return out

@@ -2,16 +2,12 @@ import numpy as np
 import pytest
 
 from anderbox.calculus import (
-    BesovSpec,
     apply_block,
-    besov_norm,
-    holder_norm,
     laplacian,
     levels_for,
     make_partition,
     multiplier,
     resolvent,
-    sobolev_norm,
 )
 from anderbox.errors import ContractError
 from anderbox.geometry import (
@@ -21,6 +17,8 @@ from anderbox.geometry import (
     SpectralField,
     inverse_transform,
 )
+
+from oracles import BesovSpec, besov_norm, holder_norm, sobolev_norm
 
 
 BOX = BoxDomain.square(1.0)

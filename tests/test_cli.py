@@ -1,11 +1,16 @@
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from anderbox import experiments
 from anderbox.cli import main
 from anderbox.config import apply_overrides, load_config, print_config
-from anderbox.errors import ContractError
+from anderbox.errors import ContractError, ConvergenceError
 from anderbox.experiments import ExperimentConfig
 
 
@@ -100,6 +105,17 @@ class TestCLI:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nonconvergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ConvergenceError("no convergence", residuals=np.ones((2, 1)))
+
+        monkeypatch.setattr(experiments, "eigenvalues", failing)
+        rc = main(["growth", "--out", str(tmp_path), "--set", "L_ladder=1 2",
+                   "--set", "replicas=2", "--set", "nu=8"])
+        assert rc == 3
+        assert "solver failure: no convergence" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_box_bounds_rows_timed(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["box-bounds", "--out", str(out), "--seed", "1",
@@ -188,3 +204,37 @@ class TestCLI:
         cfg = json.loads((out / "chi_manifest.json").read_text())["config"]
         assert cfg["L_ladder"] == [16.0, 32.0, 48.0]
         assert cfg["nu"] == 2.5
+
+
+# the effective thread count of every OpenBLAS numpy and scipy load, read
+# from the library itself after the CLI module is imported
+_BLAS_PROBE = """
+import ctypes, os, anderbox.cli, numpy, scipy.linalg
+threads = []
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            if hasattr(lib, sym):
+                fn = getattr(lib, sym)
+                fn.restype = ctypes.c_int
+                threads.append(fn())
+                break
+print(os.environ["OPENBLAS_NUM_THREADS"], *threads)
+"""
+
+
+@pytest.mark.parametrize("user_value,expect", [(None, "1"), ("2", "2")])
+def test_cli_defaults_blas_threads_to_one(user_value, expect):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout.split()
+    assert out[0] == expect
+    assert all(t == expect for t in out[1:])

@@ -16,11 +16,12 @@ from anderbox.experiments import (
     growth_study,
     rate_infimum_estimate,
     scaling_law_test,
-    single_mode_lower_bound,
     small_noise_study,
     tail_study,
 )
 from anderbox.geometry import DIRICHLET, BoxDomain, SpectralField, inverse_transform
+
+from oracles import single_mode_lower_bound
 
 
 class TestConfig:

@@ -10,14 +10,12 @@ from anderbox.geometry import (
     BoxDomain,
     GridField,
     SpectralField,
-    basis_value,
     forward_transform,
-    inner_product,
     inverse_transform,
     midpoint_nodes,
 )
 
-from oracles import quad_integral
+from oracles import basis_value, inner_product, quad_integral
 
 
 def random_field(box, parity, N, rng):

@@ -10,24 +10,24 @@ from anderbox.geometry import (
     BoxDomain,
     GridField,
     SpectralField,
-    basis_value,
     forward_transform,
     inverse_transform,
 )
 from anderbox.hamiltonian import (
+    TRANSFORM_BLOCK,
     assemble,
     box_bounds_check,
     eigenvalues,
     ims_partition,
-    min_max,
     operator_from_noise,
     potential_on_grid,
+    stack,
 )
 from anderbox.experiments import StudyRecord
 from anderbox.noise import INDICATOR, SMOOTH, enhance, restrict, sample
 from anderbox.solvers import lobpcg_top
 
-from oracles import ims_fd_residual
+from oracles import basis_value, ims_fd_residual, min_max
 
 BOX = BoxDomain.square(1.0)
 
@@ -104,9 +104,9 @@ class TestBlockApply:
         for x in X.T:
             # one column at a time through the public transforms
             u = inverse_transform(op.coeff_field(x), op._grid_M)
-            w = forward_transform(GridField(self.RECT, u.samples * op._v_grid),
+            w = forward_transform(GridField(self.RECT, u.samples * op._v_grid[0]),
                                   DIRICHLET, op.trunc)
-            ref.append(op.diag * x + w.coeffs[1:, 1:].ravel())
+            ref.append(op.diag[0] * x + w.coeffs[1:, 1:].ravel())
         ref = np.column_stack(ref)
         scale = np.abs(ref).max()
         assert np.abs(op.apply(X) - ref).max() <= 1e-12 * scale
@@ -124,17 +124,18 @@ class TestBlockApply:
         op = self.rect_operator()
         shapes = []
 
-        def counting_apply(block):
+        def counting_apply(block, which):
             shapes.append(np.shape(block))
-            return op.apply(block)
+            return op.apply(block, which)
 
         precond = 1.0 / (-op.diag + op.diag.max() + np.abs(op._v_grid).max() + 1.0)
-        vals, _, res = lobpcg_top(counting_apply, op.dim, 3, precond, tol=1e-9)
+        vals, _, res = lobpcg_top(counting_apply, 3, precond, tol=1e-9)
         assert res.max() <= 1e-9
-        assert shapes and all(len(s) == 2 for s in shapes)
-        assert any(s[1] == 3 for s in shapes)
+        # one call per (problems, dim, columns) block: n = 3 plus 2 guards
+        assert shapes and all(len(s) == 3 and s[:2] == (1, op.dim) for s in shapes)
+        assert any(s[2] == 5 for s in shapes)
         ref = np.linalg.eigvalsh(self.rect_operator("dense").matrix)[::-1][:3]
-        assert np.abs(vals - ref).max() < 1e-9
+        assert np.abs(vals[0] - ref).max() < 1e-9
 
 
 class TestEigenvalues:
@@ -171,11 +172,22 @@ class TestEigenvalues:
         free = assemble(V, box, N, storage="matrix-free")
         ref = np.linalg.eigvalsh(assemble(V, box, N, storage="dense").matrix)[::-1][:n]
         r = eigenvalues(free, n, vectors=True, tol=tol, seed=N + n)
-        assert np.abs(r.values - ref).max() < 1e-9
-        AV = np.column_stack([free.apply(v) for v in r.vectors.T])
-        true_res = np.linalg.norm(AV - r.vectors * r.values, axis=0)
-        assert true_res.max() <= tol
-        assert np.allclose(np.linalg.norm(r.vectors, axis=0), 1.0)
+        # the same problem between two others in one stack
+        M = free._grid_M
+        others = [assemble(np.random.default_rng(200 + i).standard_normal(M), box, N,
+                           storage="matrix-free", grid_M=M) for i in range(2)]
+        rs = eigenvalues([others[0], free, others[1]], n, vectors=True, tol=tol,
+                         seed=[1, N + n, 2])
+        for r in (r, rs[1]):
+            assert np.abs(r.values - ref).max() < 1e-9
+            AV = np.column_stack([free.apply(v) for v in r.vectors.T])
+            true_res = np.linalg.norm(AV - r.vectors * r.values, axis=0)
+            assert true_res.max() <= tol
+            assert np.allclose(np.linalg.norm(r.vectors, axis=0), 1.0)
+        for o, ro in zip(others, rs[::2]):
+            ref_o = np.linalg.eigvalsh(assemble(o._v_grid[0], box, N, storage="dense",
+                                                grid_M=M).matrix)[::-1][:n]
+            assert np.abs(ro.values - ref_o).max() < 1e-9
 
     def test_multiplicity_reported_adjacent(self):
         vals = eigenvalues(assemble(None, BOX, 12), 4).values
@@ -194,6 +206,76 @@ class TestEigenvalues:
             eigenvalues(op, 3, tol=1e-30)
         assert err.value.residuals is not None
         assert len(err.value.residuals) == 3
+
+
+class TestStacks:
+    """Stacks of same-shape problems: one apply and one LOBPCG loop for
+    all, with every problem's answer that of its solve alone."""
+
+    RECT = BoxDomain((0.0, 0.0), (1.0, 1.5))
+
+    def rect_ops(self, count, N=(6, 9)):
+        # same sides, different origins and potentials
+        ops = []
+        for i in range(count):
+            box = BoxDomain((0.5 * i, 0.25 * i), self.RECT.sides)
+            V = SpectralField(box, NEUMANN,
+                              np.random.default_rng(30 + i).standard_normal((8, 5)))
+            ops.append(assemble(V, box, N, storage="matrix-free"))
+        return ops
+
+    def noise_ops(self, count, L=2.0, N=16):
+        parent = BoxDomain.square(4.0)
+        box = BoxDomain((1.0, 1.0), (L, L))
+        return [assemble(restrict(sample(parent, 32, 40 + i), 0.25, box, 2 * N, INDICATOR),
+                         box, N, storage="matrix-free") for i in range(count)]
+
+    def test_stacked_apply_matches_each_operator(self):
+        ops = self.rect_ops(3)
+        st = stack(ops)
+        assert st.diag.shape == (3, ops[0].dim)
+        assert st._v_grid.shape == (3, *ops[0]._grid_M)
+        X = np.random.default_rng(31).standard_normal((3, ops[0].dim, 4))
+        ref = np.stack([op.apply(x) for op, x in zip(ops, X)])
+        scale = np.abs(ref).max()
+        assert np.abs(st.apply(X) - ref).max() <= 1e-12 * scale
+        assert np.abs(st.apply(X[[2, 0]], np.array([2, 0])) - ref[[2, 0]]).max() <= 1e-12 * scale
+        # enough columns that every problem is a transform block of its own
+        M0, M1 = st._grid_M
+        k = TRANSFORM_BLOCK // (M0 * M1) // 2 + 1
+        Y = np.random.default_rng(32).standard_normal((3, st.dim, k))
+        ref = np.stack([op.apply(y) for op, y in zip(ops, Y)])
+        assert np.abs(st.apply(Y) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_stack_contract(self):
+        ops = self.rect_ops(2)
+        with pytest.raises(ContractError):
+            stack([ops[0], self.rect_ops(1, N=(6, 8))[0]])
+        M = ops[0]._grid_M
+        wide = BoxDomain((0.0, 0.0), (2.0, 1.5))  # same modes and grid, other sides
+        with pytest.raises(ContractError):
+            stack([ops[0], assemble(np.ones(M), wide, (6, 9), storage="matrix-free",
+                                    grid_M=M)])
+        with pytest.raises(ContractError):
+            stack([ops[0], assemble(ops[1]._v_grid[0], self.RECT, (6, 9),
+                                    storage="dense", grid_M=ops[1]._grid_M)])
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_values_independent_of_the_stack(self, n):
+        ops = self.noise_ops(4)
+        alone = [eigenvalues(op, n, tol=1e-9, seed=7) for op in ops]
+        for members in ([0, 1, 2, 3], [3, 1], [2, 0, 3]):
+            got = eigenvalues([ops[i] for i in members], n, tol=1e-9, seed=7)
+            for i, r in zip(members, got):
+                assert np.abs(r.values - alone[i].values).max() <= 1e-12
+                assert r.residuals.shape == (n,) and r.residuals.max() <= 1e-9
+
+    def test_unreachable_tol_reports_each_problem(self):
+        ops = self.noise_ops(2)
+        with pytest.raises(ConvergenceError) as err:
+            eigenvalues(ops, 3, tol=1e-30)
+        assert np.shape(err.value.residuals) == (2, 3)
+        assert np.all(err.value.residuals > 1e-30)
 
 
 class TestMinMax:

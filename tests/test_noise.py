@@ -21,13 +21,12 @@ from anderbox.noise import (
     profile_constant,
     renorm_constant,
     restrict,
-    restriction_variances,
     sample,
     save_draw,
 )
 from anderbox.paraproducts import resonance
 
-from oracles import simpson_pairing_1d
+from oracles import restriction_variances, simpson_pairing_1d
 
 BOX = BoxDomain.square(1.0)
 
