@@ -124,12 +124,12 @@ def _cmd_spectrum(cfg: ExperimentConfig) -> int:
     rec = StudyRecord()
     t0 = time.perf_counter()
     if cfg.beta == 0.0:
-        op = assemble(None, box, N, storage="matrix-free")
+        op = assemble(None, box, N)
     else:
         band = mollified_band(box, cfg.eps, cfg.cutoff())
         draw = sample(box, (max(band[0], 1), max(band[1], 1)), cfg.seed)
         en = enhance(draw, cfg.eps, cfg.cutoff())
-        op = operator_from_noise(en, N, beta=cfg.beta, storage="matrix-free")
+        op = operator_from_noise(en, N, beta=cfg.beta)
     vals = eigenvalues(op, cfg.n_eigs, tol=1e-9, seed=cfg.seed).values
     wall = (time.perf_counter() - t0) * 1e3
     for n, lam in enumerate(vals, start=1):

@@ -11,11 +11,6 @@ class AliasingError(ContractError):
     """A grid is too coarse to represent the requested band limit."""
 
 
-class CapacityError(ContractError):
-    """A dense operator was requested above the dense size cap without
-    explicit opt-in."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge; carries a residual report."""
 

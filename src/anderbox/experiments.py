@@ -9,7 +9,7 @@ bit-exact on the recorded eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 import csv
 import math
 import time
@@ -67,14 +67,24 @@ class ExperimentConfig:
         self.eps_ladder = tuple(float(x) for x in self.eps_ladder)
         if not self.L_ladder or not self.eps_ladder:
             raise ContractError("L_ladder and eps_ladder must not be empty")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            for x in (v if isinstance(v, tuple) else (v,)):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ContractError(f"{f.name} must be finite, got {v}")
+        for key in ("L_ladder", "eps_ladder"):
+            if min(getattr(self, key)) <= 0:
+                raise ContractError(f"{key} entries must be > 0, got {getattr(self, key)}")
         if list(self.L_ladder) != sorted(self.L_ladder):
             raise ContractError("L ladder must be increasing")
-        for key in ("replicas", "n_eigs", "workers"):
+        for key in ("replicas", "n_eigs", "workers", "chi_iters"):
             if getattr(self, key) < 1:
                 raise ContractError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("L", "eps", "nu", "alpha"):
+        for key in ("L", "eps", "nu", "alpha", "r", "a_overlap"):
             if not getattr(self, key) > 0:
                 raise ContractError(f"{key} must be > 0, got {getattr(self, key)}")
+        if self.slack < 0:
+            raise ContractError(f"slack must be >= 0, got {self.slack}")
         if self.profile not in ("smooth", "indicator"):
             raise ContractError(f"profile must be smooth or indicator, got {self.profile!r}")
 
@@ -162,7 +172,7 @@ def _growth_group(task):
     out = [[] for _ in seeds]
     for L in cfg.L_ladder:
         t0 = time.perf_counter()
-        ops = [assemble(p, boxes[L], cfg.trunc(L), storage="matrix-free") for p in pots[L]]
+        ops = [assemble(p, boxes[L], cfg.trunc(L)) for p in pots[L]]
         res = eigenvalues(ops, cfg.n_eigs, tol=1e-8, seed=seeds)
         ms = (wall[L] + time.perf_counter() - t0) * 1e3 / len(seeds)
         for row, seed, r in zip(out, seeds, res):
@@ -225,8 +235,8 @@ def _mollified_group(task):
     (L, eps, amp, N, band, tau, tol), seeds = task
     box = BoxDomain.square(L)
     t0 = time.perf_counter()
-    ops = [assemble(mollify(sample(box, band, s), eps, tau) * amp, box, N,
-                    storage="matrix-free") for s in seeds]
+    ops = [assemble(mollify(sample(box, band, s), eps, tau) * amp, box, N)
+           for s in seeds]
     res = eigenvalues(ops, 1, tol=tol, seed=seeds)
     ms = (time.perf_counter() - t0) * 1e3 / len(seeds)
     return [(float(r.values[0]), ms) for r in res]
@@ -410,7 +420,7 @@ def _psi_sq_step(V: np.ndarray, box: BoxDomain, N, M, n: int, tol: float,
 
     Returns (eigen result, |psi|_4^2, |grad psi|_2^2, psi, psi^2 sampled
     on the grid M)."""
-    op = assemble(V, box, N, storage="matrix-free", grid_M=M)
+    op = assemble(V, box, N, grid_M=M)
     r = eigenvalues(op, n, vectors=True, tol=tol, v0=v0, seed=seed)
     psi = op.coeff_field(r.vectors[:, n - 1])
     psi = psi * (1.0 / psi.l2_norm())
@@ -521,7 +531,7 @@ def _calibrate_mu(psi_sq: np.ndarray, box: BoxDomain, N, n: int, a: float,
     def f(mu):
         nonlocal block
         if mu not in seen:
-            op = assemble(psi_sq * mu, box, N, storage="matrix-free", grid_M=M)
+            op = assemble(psi_sq * mu, box, N, grid_M=M)
             r = eigenvalues(op, n, vectors=True, tol=1e-10, v0=block, seed=seed)
             block = r.vectors
             seen[mu] = float(r.values[n - 1]) - a
@@ -588,7 +598,7 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
             block = r.vectors
             lam = max(lam, float(r.values[n - 1]))
             Vd = psi_sq * (radius / _grid_norm(psi_sq, box.area))
-        op = assemble(Vd, box, N, storage="matrix-free", grid_M=M)
+        op = assemble(Vd, box, N, grid_M=M)
         return max(lam, float(eigenvalues(op, n, tol=1e-10, v0=block,
                                           seed=seed).values[n - 1]))
 

@@ -4,8 +4,8 @@ squared partition of unity with its localization penalty, and the
 box-comparison checker.
 
 The potential pairing <V d_l, d_k> is evaluated by quadrature on a grid
-padded past the total band limit, so the matrix (or matrix-free apply) is
-the exact Galerkin projection of multiplication by V.
+padded past the total band limit, so the matrix-free apply is the exact
+Galerkin projection of multiplication by V.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .calculus import _bump_ramp
-from .errors import CapacityError, ContractError, ConvergenceError
+from .errors import ContractError, ConvergenceError
 from .geometry import (
     DIRICHLET,
     BoxDomain,
@@ -29,9 +29,8 @@ from .geometry import (
     midpoint_nodes,
 )
 from .noise import EnhancedNoise, restrict
-from .solvers import dense_top_eigs, lobpcg_top
+from .solvers import lobpcg_top
 
-DENSE_CAP = 4096  # largest matrix dimension assembled densely by default
 # doubles of sine-transform grid per block of a stacked apply: 512 KB keeps
 # a block's transients in a 2 MB L2 cache (at dim 1024, eight problems of
 # six columns solve in 64 ms at this size and 88 ms in one 2 MB block)
@@ -46,19 +45,16 @@ def _laplacian_diag(box: BoxDomain, N) -> np.ndarray:
 
 @dataclass
 class GalerkinOperator:
-    """Symmetric Galerkin matrix (or matrix-free apply) of Laplacian + V
-    minus a constant shift, on the Dirichlet modes 1..N per axis.
+    """Matrix-free symmetric Galerkin operator of Laplacian + V minus a
+    constant shift, on the Dirichlet modes 1..N per axis.
 
-    A matrix-free operator holds a stack of B problems of one shape (B = 1
-    from ``assemble``, more from ``stack``): one Laplacian-plus-constant
-    diagonal (B, dim) and, when V is not constant, one potential sample
-    array (B, M0, M1) per problem."""
+    It holds a stack of B problems of one shape (B = 1 from ``assemble``,
+    more from ``stack``): one Laplacian-plus-constant diagonal (B, dim)
+    and, when V is not constant, one potential sample array (B, M0, M1)
+    per problem."""
 
     box: BoxDomain                     # of the first problem in a stack
     trunc: tuple[int, int]
-    shift: float
-    storage: str                       # "dense" | "matrix-free"
-    matrix: np.ndarray | None = None
     _v_grid: np.ndarray | None = None  # potential samples on the padded grid
     _grid_M: tuple[int, int] | None = None
     diag: np.ndarray = field(default=None, repr=False)
@@ -72,8 +68,6 @@ class GalerkinOperator:
         or for a stack's blocks (b, dim, k) of the problems ``which`` (all
         when None).  Each axis and direction costs one sine transform per
         group of problems whose grids fit ``TRANSFORM_BLOCK``."""
-        if self.storage == "dense":
-            return self.matrix @ c
         C = c if np.ndim(c) == 3 else np.asarray(c).reshape(1, self.dim, -1)
         # work on rows (b, k, dim), the layout the sine transforms want
         rows = C.swapaxes(1, 2)
@@ -105,13 +99,11 @@ class GalerkinOperator:
 
 
 def stack(ops) -> GalerkinOperator:
-    """One matrix-free operator whose problems are those of ``ops``, in
-    order; they must share the truncation, the quadrature grid and the box
-    sides (origins may differ)."""
+    """One operator whose problems are those of ``ops``, in order; they
+    must share the truncation, the quadrature grid and the box sides
+    (origins may differ)."""
     first = ops[0]
     for op in ops:
-        if op.storage != "matrix-free":
-            raise ContractError("only matrix-free operators can be stacked")
         if (op.trunc, op._grid_M, op.box.sides) != (first.trunc, first._grid_M, first.box.sides):
             raise ContractError("stacked operators need one truncation, grid and box sides")
     if len(ops) == 1:
@@ -120,8 +112,8 @@ def stack(ops) -> GalerkinOperator:
     if any(op._v_grid is not None for op in ops):
         zero = np.zeros((1, *first._grid_M))
         v_grid = np.concatenate([zero if op._v_grid is None else op._v_grid for op in ops])
-    return GalerkinOperator(first.box, first.trunc, first.shift, "matrix-free", None,
-                            v_grid, first._grid_M, np.concatenate([op.diag for op in ops]))
+    return GalerkinOperator(first.box, first.trunc, v_grid, first._grid_M,
+                            np.concatenate([op.diag for op in ops]))
 
 
 @dataclass
@@ -177,9 +169,8 @@ def potential_on_grid(potential, box: BoxDomain, M) -> np.ndarray:
 
 
 def assemble(potential, box: BoxDomain, N, shift: float = 0.0,
-             storage: str = "auto", allow_large_dense: bool = False,
              grid_M=None) -> GalerkinOperator:
-    """Galerkin matrix A[k,l] = -pi^2 |k/s|^2 delta_kl + <V d_l, d_k>
+    """Galerkin operator A[k,l] = -pi^2 |k/s|^2 delta_kl + <V d_l, d_k>
     - shift delta_kl on the Dirichlet modes.
 
     ``potential`` may be a SpectralField (any parity; typically Neumann), a
@@ -188,18 +179,9 @@ def assemble(potential, box: BoxDomain, N, shift: float = 0.0,
     N = _pair(N)
     if N[0] < 1 or N[1] < 1:
         raise ContractError("operator truncation must be >= 1")
-    dim = N[0] * N[1]
     M = (tuple(grid_M) if grid_M is not None
          else _operator_grid(N, _potential_band(potential)))
     diag = _laplacian_diag(box, N) - shift
-
-    if storage == "auto":
-        storage = "dense" if dim <= DENSE_CAP else "matrix-free"
-    if storage == "dense" and dim > DENSE_CAP and not allow_large_dense:
-        raise CapacityError(
-            f"dense operator of dimension {dim} exceeds cap {DENSE_CAP}; "
-            "pass allow_large_dense=True or storage='matrix-free'"
-        )
 
     v_grid = None
     if potential is not None:
@@ -207,20 +189,11 @@ def assemble(potential, box: BoxDomain, N, shift: float = 0.0,
             diag = diag + float(potential)
         else:
             v_grid = potential_on_grid(potential, box, M)[None]
-
-    op = GalerkinOperator(box, N, shift, "matrix-free", None, v_grid, M, diag[None])
-    if storage == "dense":
-        A = np.empty((dim, dim))
-        k = max(1, (1 << 20) // (M[0] * M[1]))  # 8 MB per transient block
-        for j in range(0, dim, k):
-            A[:, j:j + k] = op.apply(np.eye(dim, min(k, dim - j), -j))
-        # symmetric to round-off (|A - A^T| ~ 1e-15); eigh reads one triangle
-        op = GalerkinOperator(box, N, shift, "dense", A, v_grid, M, diag[None])
-    return op
+    return GalerkinOperator(box, N, v_grid, M, diag[None])
 
 
 def operator_from_noise(en: EnhancedNoise, N, beta: float = 1.0,
-                        renorm: str = "field", **kw) -> GalerkinOperator:
+                        renorm: str = "field") -> GalerkinOperator:
     """Operator Laplacian + beta xi - beta^2 (renormalization).
 
     renorm = "field":    subtract the full x-dependent expectation field
@@ -231,9 +204,9 @@ def operator_from_noise(en: EnhancedNoise, N, beta: float = 1.0,
         n = (max(en.xi.trunc[0], en.expectation.trunc[0]),
              max(en.xi.trunc[1], en.expectation.trunc[1]))
         veff = en.xi.pad_to(n) * beta - en.expectation.pad_to(n) * beta**2
-        return assemble(veff, en.box, N, **kw)
+        return assemble(veff, en.box, N)
     if renorm == "constant":
-        return assemble(en.xi * beta, en.box, N, shift=beta**2 * en.c_subtracted, **kw)
+        return assemble(en.xi * beta, en.box, N, shift=beta**2 * en.c_subtracted)
     raise ContractError(f"unknown renorm mode {renorm!r}")
 
 
@@ -242,20 +215,16 @@ def eigenvalues(op, n: int, vectors: bool = False, tol: float = 1e-9,
     """Top-n eigenvalues (descending, multiplicities kept adjacent), with
     the true residuals of the returned pairs.
 
-    A dense operator goes to LAPACK.  A matrix-free one, or a list of them
-    (one EigenResult each), goes to LOBPCG as one stack (see ``stack``),
-    with ``seed`` an int or one per operator, warm-started from ``v0`` (one
-    vector or up to n columns, or (B, dim, m)) and accepted at ``tol``.
+    An operator, or a list of them (one EigenResult each), goes to LOBPCG
+    as one stack (see ``stack``), with ``seed`` an int or one per operator,
+    warm-started from ``v0`` (one vector or up to n columns, or
+    (B, dim, m)) and accepted at ``tol``.
     Its ConvergenceError carries the residuals, (B, n) for a list.
     """
     many = isinstance(op, (list, tuple))
     ops = list(op) if many else [op]
     if n < 1 or n > ops[0].dim:
         raise ContractError(f"requested {n} eigenvalues of a dim-{ops[0].dim} operator")
-    if not many and op.storage == "dense":
-        vals, vecs = dense_top_eigs(op.matrix, n, vectors=True)
-        res = np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)
-        return EigenResult(vals, vecs if vectors else None, n, res)
     st = stack(ops)
     v_max = 0.0 if st._v_grid is None else np.abs(st._v_grid).max(axis=(1, 2))[:, None]
     precond = 1.0 / (-st.diag + st.diag.max(axis=1, keepdims=True) + v_max + 1.0)
@@ -391,13 +360,13 @@ def box_bounds_check(L: float, r: float, a: float, eps: float, seeds,
         t0 = time.perf_counter()
         draw = sample(parent, _pair(int(np.ceil(nu_trunc * 3 * L))), seed)
         pot = restrict(draw, eps, study, (2 * N_L[0], 2 * N_L[1]), tau)
-        op = assemble(pot, study, N_L, storage="matrix-free")
+        op = assemble(pot, study, N_L)
         lam_parent = eigenvalues(op, max(4, n_lower), tol=1e-8, seed=seed).values
 
         M = op._grid_M
         phi = ims.phi_grid(study, M)
         vg = potential_on_grid(pot, study, M)
-        op_pen = assemble(vg - phi, study, N_L, storage="matrix-free", grid_M=M)
+        op_pen = assemble(vg - phi, study, N_L, grid_M=M)
         lam_pen = eigenvalues(op_pen, 1, tol=1e-8, seed=seed).values[0]
 
         def top(boxes, side, n=1):
@@ -405,7 +374,7 @@ def box_bounds_check(L: float, r: float, a: float, eps: float, seeds,
             length, solved as one stack."""
             Nt = _pair(int(np.ceil(nu_trunc * side)))
             ops = [assemble(restrict(draw, eps, t, (2 * Nt[0], 2 * Nt[1]), tau),
-                            t, Nt, storage="matrix-free") for t in boxes]
+                            t, Nt) for t in boxes]
             return [r.values for r in eigenvalues(ops, n, tol=1e-8, seed=seed)]
 
         tile_vals = [v[0] for v in top(tiles, r + a)]

@@ -1,12 +1,11 @@
-"""Symmetric eigensolvers for the top of the spectrum: a dense LAPACK
-wrapper, and preconditioned LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
-2001) that runs a stack of same-shape problems in one loop and accepts
-results only on true residuals ``|Av - lambda v|``."""
+"""Symmetric eigensolver for the top of the spectrum: preconditioned
+LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) that runs a stack of
+same-shape problems in one loop and accepts results only on true
+residuals ``|Av - lambda v|``."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as _la
 
 from .errors import ConvergenceError
 
@@ -14,15 +13,6 @@ LOBPCG_MAXITER = 200  # iterations per LOBPCG run
 LOBPCG_RERUNS = 2     # warm re-runs from the returned block on a residual miss
 GUARD = 2             # extra, unjudged columns iterated when n > 1
 DROP = 1e-10          # relative Gram eigenvalue below which a direction is dependent
-
-
-def dense_top_eigs(A: np.ndarray, n: int, vectors: bool = True):
-    """Top-n eigenpairs of a symmetric matrix, descending."""
-    dim = A.shape[0]
-    n = min(n, dim)
-    vals, vecs = _la.eigh(A, subset_by_index=[dim - n, dim - 1])
-    order = np.argsort(vals)[::-1]
-    return vals[order], (vecs[:, order] if vectors else None)
 
 
 def _mT(a):
@@ -34,7 +24,8 @@ def _orthonormalizer(G):
     from the unit-scaled columns; directions with a scaled eigenvalue
     under DROP times the largest, and zero columns, become zero columns
     of Z.  Returns Z and the mask of its nonzero columns."""
-    d = np.sqrt(np.einsum("bii->bi", G))
+    # round-off can leave a Gram diagonal slightly below zero
+    d = np.sqrt(np.maximum(np.einsum("bii->bi", G), 0.0))
     inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
     g, U = np.linalg.eigh(G * inv[:, :, None] * inv[:, None, :])
     kept = g > DROP * g[:, -1:]

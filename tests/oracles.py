@@ -191,6 +191,12 @@ def single_mode_lower_bound(L):
     return 6.0 / L - 8.0 * np.pi**2 / L**2
 
 
+def dense_matrix(op):
+    """The operator's matrix, column by column from its apply: a reference
+    for dense LAPACK solves and entry-wise checks."""
+    return op.apply(np.eye(op.dim))
+
+
 def min_max(op, n, trial):
     """inf of the Rayleigh quotient of ``op`` over the span of the trial
     columns: with an n-dimensional trial space a lower bound for the n-th

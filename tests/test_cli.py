@@ -99,6 +99,13 @@ class TestCLI:
         ["chi", "--set", "nu=0.01"],
         ["growth", "--workers", "0"],
         ["growth", "--workers", "-3"],
+        ["spectrum", "--set", "L=inf"],
+        ["growth", "--set", "L_ladder=1 inf"],
+        ["small-noise", "--set", "eps_ladder=0.1 -0.01"],
+        ["box-bounds", "--set", "r=0"],
+        ["chi", "--set", "chi_iters=0"],
+        ["rate-inf", "--set", "target=nan"],
+        ["growth", "--set", "slack=nan"],
     ])
     def test_bad_input_exits_nonzero(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path)])
