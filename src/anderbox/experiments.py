@@ -375,16 +375,17 @@ def small_noise_study(cfg: ExperimentConfig) -> StudyRecord:
 # -- variational constant -------------------------------------------------------
 
 def _l4sq_and_grad(psi: SpectralField, M) -> tuple[float, float, np.ndarray]:
-    """(|psi|_4^2, |grad psi|_2^2, grid samples of psi)."""
+    """(|psi|_4^2, |grad psi|_2^2, grid samples of psi^2)."""
     from .geometry import inverse_transform
 
     g = inverse_transform(psi, M)
     w = g.quad_weight()
-    l4sq = math.sqrt(float(np.sum(g.samples**4)) * w)
+    sq = g.samples**2  # squaring twice: a power of 4 goes through libm pow
+    l4sq = math.sqrt(float(np.sum(sq * sq)) * w)
     k1 = np.arange(psi.coeffs.shape[0])[:, None] / psi.box.sides[0]
     k2 = np.arange(psi.coeffs.shape[1])[None, :] / psi.box.sides[1]
     grad = float(np.sum(np.pi**2 * (k1**2 + k2**2) * psi.coeffs**2))
-    return l4sq, grad, g.samples
+    return l4sq, grad, sq
 
 
 def _grid_norm(V: np.ndarray, area: float) -> float:
@@ -424,8 +425,8 @@ def _psi_sq_step(V: np.ndarray, box: BoxDomain, N, M, n: int, tol: float,
     r = eigenvalues(op, n, vectors=True, tol=tol, v0=v0, seed=seed)
     psi = op.coeff_field(r.vectors[:, n - 1])
     psi = psi * (1.0 / psi.l2_norm())
-    l4sq, grad, samples = _l4sq_and_grad(psi, M)
-    return r, l4sq, grad, psi, samples**2
+    l4sq, grad, psi_sq = _l4sq_and_grad(psi, M)
+    return r, l4sq, grad, psi, psi_sq
 
 
 def chi_ascent(box: BoxDomain, N: int, max_iter: int = 200, tol: float = 1e-10,
@@ -515,6 +516,8 @@ def chi_estimate(L_ladder=(16.0, 32.0, 48.0), nu: float = 2.5,
 
 # -- rate-function infimum -------------------------------------------------------
 
+BALL_STOP = 1e-12  # a dual ball ascent stops once lambda_n moves by less
+
 def _calibrate_mu(psi_sq: np.ndarray, box: BoxDomain, N, n: int, a: float,
                   M, seed=0, mu0: float = 1.0, block=None):
     """Find mu >= 0 with lambda_n(mu * psi_sq) = a (monotone in mu).
@@ -590,17 +593,18 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
 
     def _ball_ascent(radius, V_start, block, iters=12):
         """Maximize lambda_n over |V|_2 <= radius by the fixed-point map
-        V -> radius * psi_n^2 / |psi_n^2|_2; returns the best level seen."""
+        V -> radius * psi_n^2 / |psi_n^2|_2 for ``iters`` steps, or until
+        lambda_n moves by less than BALL_STOP; returns the best level seen."""
         Vd = V_start * (radius / _grid_norm(V_start, box.area))
-        lam = -np.inf
-        for _ in range(iters):
+        lams = []
+        for _ in range(iters + 1):
             r, *_, psi_sq = _psi_sq_step(Vd, box, N, M, n, 1e-10, block, seed)
             block = r.vectors
-            lam = max(lam, float(r.values[n - 1]))
+            lams.append(float(r.values[n - 1]))
+            if len(lams) > 1 and abs(lams[-1] - lams[-2]) < BALL_STOP:
+                break
             Vd = psi_sq * (radius / _grid_norm(psi_sq, box.area))
-        op = assemble(Vd, box, N, grid_M=M)
-        return max(lam, float(eigenvalues(op, n, tol=1e-10, v0=block,
-                                          seed=seed).values[n - 1]))
+        return max(lams)
 
     # handshake: re-maximizing over the final energy ball, warm-started
     # from the optimizer, must recover at least the level a

@@ -62,6 +62,12 @@ def run(verbose: bool = True) -> int:
     check("zero-potential spectrum",
           np.abs(r.values - exact).max() < 1e-8 and r.residuals.max() <= 1e-9)
 
+    op = assemble(SpectralField(box, NEUMANN, rng.standard_normal((7, 7))), box, 8)
+    r, ref = eigenvalues(op, 4, vectors=True), np.linalg.eigvalsh(op.apply(np.eye(64)))[::-1]
+    res = np.linalg.norm(op.apply(r.vectors) - r.vectors * r.values, axis=0)
+    check("LOBPCG matches eigvalsh at dim 64",
+          np.abs(r.values - ref[:4]).max() < 1e-9 and res.max() <= 1e-9)
+
     # a psi^2 potential of band 2N: every grid M > 2N integrates the ascent
     # step exactly, M = 2N does not
     from .experiments import _ascent_grid, _normalized_grid, _psi_sq_step

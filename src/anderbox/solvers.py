@@ -1,7 +1,7 @@
-"""Symmetric eigensolver for the top of the spectrum: preconditioned
-LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) that runs a stack of
-same-shape problems in one loop and accepts results only on true
-residuals ``|Av - lambda v|``."""
+"""Symmetric top-of-spectrum eigensolver: preconditioned LOBPCG (Knyazev,
+SIAM J. Sci. Comput. 23, 2001) over a stack of same-shape problems, on a
+basis kept orthonormal (Duersch, Shao, Yang and Gu, SIAM J. Sci. Comput. 40,
+2018) so Rayleigh-Ritz takes one Gram matrix; true residuals accept results."""
 
 from __future__ import annotations
 
@@ -12,86 +12,89 @@ from .errors import ConvergenceError
 LOBPCG_MAXITER = 200  # iterations per LOBPCG run
 LOBPCG_RERUNS = 2     # warm re-runs from the returned block on a residual miss
 GUARD = 2             # extra, unjudged columns iterated when n > 1
-DROP = 1e-10          # relative Gram eigenvalue below which a direction is dependent
+DROP = 1e-10          # dependent below: relative Gram eigenvalue, norm^2 left by projection
 
 
 def _mT(a):
     return np.swapaxes(a, -1, -2)
 
 
-def _orthonormalizer(G):
-    """Z with Z^T G Z = I for each Gram matrix of the stack G (b, m, m),
-    from the unit-scaled columns; directions with a scaled eigenvalue
-    under DROP times the largest, and zero columns, become zero columns
-    of Z.  Returns Z and the mask of its nonzero columns."""
-    # round-off can leave a Gram diagonal slightly below zero
-    d = np.sqrt(np.maximum(np.einsum("bii->bi", G), 0.0))
-    inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
-    g, U = np.linalg.eigh(G * inv[:, :, None] * inv[:, None, :])
-    kept = g > DROP * g[:, -1:]
-    scale = np.where(kept, 1.0 / np.sqrt(np.where(kept, g, 1.0)), 0.0)
-    return inv[:, :, None] * U * scale[:, None, :], kept
+def _orthonormal_rows(V, basis=None):
+    """Rows of each block of V (b, m, dim) made orthonormal, and their mask:
+    projected out of orthonormal rows ``basis`` (b, j, dim) before and after
+    (CGS2), rows the first pass leaves with <= sqrt(DROP) of their norm
+    dropped, then SVQB (directions under DROP dropped; orthonormal only to
+    round-off over its least kept eigenvalue) and Q - (Q Q^T - I) Q / 2."""
+    floor = 0.0
+    if basis is not None:
+        floor = DROP * np.einsum("bkd,bkd->bk", V, V)
+        V = V - (V @ _mT(basis)) @ basis
+    G = V @ _mT(V)
+    d2 = np.einsum("bii->bi", G)
+    live = d2 > floor
+    inv = live / np.sqrt(np.where(live, d2, 1.0))
+    if V.shape[1] == 1:  # SVQB of one row is its unit scaling
+        Q, kept = V * inv[:, :, None], live
+    else:
+        g, U = np.linalg.eigh(G * inv[:, :, None] * inv[:, None, :])
+        kept = g > DROP * g[:, -1:]
+        Q = _mT(inv[:, :, None] * U * (kept / np.sqrt(np.where(kept, g, 1.0)))[:, None, :]) @ V
+    if basis is not None:
+        Q -= (Q @ _mT(basis)) @ basis
+    Q -= 0.5 * ((Q @ _mT(Q) - kept[:, :, None] * np.eye(Q.shape[1])) @ Q)
+    return Q, kept
 
 
-def _rayleigh_ritz(GH, k):
-    """Top k Ritz values (descending) of each problem on a basis whose
-    first k columns are X, from its Gram matrices and projections GH
-    (2, b, m, m), with coefficients (b, m, 2k): the Ritz vectors', then
-    the next P's, which is their non-X part made orthonormal and
-    orthogonal to them, so it stays well conditioned (Duersch, Shao, Yang
-    and Gu, SIAM J. Sci. Comput. 40, 2018)."""
-    G, H = GH
-    Z, kept = _orthonormalizer(G)
-    Hr = _mT(Z) @ (0.5 * (H + _mT(H))) @ Z
-    m = np.arange(Hr.shape[1])  # dropped directions go under every real one
-    Hr[:, m, m] -= np.where(kept, 0.0, 2.0 * np.abs(Hr).max(axis=(1, 2))[:, None] + 1.0)
-    theta, Y = np.linalg.eigh(Hr)
-    C = Z @ Y[:, :, :-k - 1:-1]
-    P = C.copy()
-    P[:, :k] = 0.0
-    P -= C @ (_mT(C) @ (G @ P))
-    P = P @ _orthonormalizer(_mT(P) @ G @ P)[0]
-    return theta[:, :-k - 1:-1], np.concatenate([C, P], axis=2)
+def _rayleigh_ritz(S, kept, k):
+    """Top k Ritz values (descending) on each orthonormal basis S[0] (b, m,
+    dim), first k rows X, nonzero rows ``kept`` (b, m), S[1] = A S[0]: the
+    projection is the only Gram matrix.  Also returns the coefficients
+    (b, m, 2k) of the Ritz vectors and of the next P, their non-X part made
+    orthonormal and orthogonal to them, and the row mask of [X, P]."""
+    H = S[0] @ _mT(S[1])
+    H = 0.5 * (H + _mT(H))
+    if not kept.all():  # dropped rows go under the spectrum, bounded by a row sum
+        m = np.arange(H.shape[1])
+        H[:, m, m] -= np.where(kept, 0.0, 2.0 * np.abs(H).sum(axis=2).max(axis=1)[:, None] + 1.0)
+    theta, Y = np.linalg.eigh(H)
+    C = Y[:, :, :-k - 1:-1] * kept[:, :, None]
+    P = np.concatenate([np.zeros_like(C[:, :k]), C[:, k:]], axis=1)
+    P, kept_p = _orthonormal_rows(_mT(P), _mT(C))
+    return (theta[:, :-k - 1:-1], np.concatenate([C, _mT(P)], axis=2),
+            np.concatenate([np.arange(k) < kept.sum(axis=1)[:, None], kept_p], axis=1))
 
 
 def _iterate(apply_rows, X, precond, n, tol, which):
     """One LOBPCG run of the problems ``which`` from the row blocks X
-    (b, k, dim); a problem leaves the stack once its first n residuals
-    are at most ``tol``.  Returns its Ritz values and unit row vectors.
-
-    ``XP`` pairs [X, P] with [AX, AP] as (2, b, 2k, dim).  Each step's
-    directions W are made orthonormal and orthogonal to X and P before
-    they are applied, so the basis [X, P, W] stays well conditioned."""
+    (b, k, dim), each until its first n residuals are at most ``tol``:
+    Ritz values and unit rows.  ``S`` is the orthonormal basis [X, P, W]
+    and A times it, (2, b, 3k, dim), ``kept`` its nonzero rows; W is made
+    orthonormal and orthogonal to [X, P] before it is applied."""
     b, k, dim = X.shape
     vals_out, X_out = np.empty((b, k)), np.empty_like(X)
-    XP = np.stack([X, apply_rows(X, which)])
-    vals, CC = _rayleigh_ritz(XP[0] @ _mT(XP), k)
-    XP = _mT(CC) @ XP  # P starts at zero
+    X, kept = _orthonormal_rows(X)
+    S = np.stack([X, apply_rows(X, which)])
+    vals, CC, kept = _rayleigh_ritz(S, kept, k)
     live = np.arange(b)
     for _ in range(LOBPCG_MAXITER):
-        R = XP[1, :, :k] - vals[:, :, None] * XP[0, :, :k]
-        res = np.linalg.norm(R, axis=2)
+        S, last = np.empty((2, len(live), 3 * k, dim)), S  # next [X, P]; P starts at 0
+        np.matmul(_mT(CC), last, out=S[:, :, :2 * k])
+        R = S[1, :, :k] - vals[:, :, None] * S[0, :, :k]
+        res = np.sqrt(np.einsum("bkd,bkd->bk", R, R))
         done = np.all(res[:, :n] <= tol, axis=1)
         if done.any():
-            vals_out[live[done]], X_out[live[done]] = vals[done], XP[0, done, :k]
+            vals_out[live[done]], X_out[live[done]] = vals[done], S[0, done, :k]
             live, which, precond = live[~done], which[~done], precond[~done]
             if not live.size:
                 break
-            XP, R, res, vals = XP[:, ~done], R[~done], res[~done], vals[~done]
-        W = R  # soft locking: converged columns add no directions
-        W *= precond[:, None, :] * (res > tol)[:, :, None]
-        W -= (W @ _mT(XP[0])) @ XP[0]
-        W = _mT(_orthonormalizer(W @ _mT(W))[0]) @ W
-        S = np.empty((2, len(live), 3 * k, dim))
-        S[:, :, :2 * k] = XP
+            S, R, res, vals, kept = S[:, ~done], R[~done], res[~done], vals[~done], kept[~done]
+        W = R * (precond[:, None, :] * (res > tol)[:, :, None])  # soft locking
+        W, kept_w = _orthonormal_rows(W, S[0, :, :2 * k])
         S[0, :, 2 * k:] = W
         S[1, :, 2 * k:] = apply_rows(W, which)
-        del XP, R, W  # one basis alive at a time, not two
-        vals, CC = _rayleigh_ritz(S[0] @ _mT(S), k)
-        XP = _mT(CC) @ S
-        del S
+        vals, CC, kept = _rayleigh_ritz(S, np.concatenate([kept, kept_w], axis=1), k)
     else:
-        vals_out[live], X_out[live] = vals, XP[0, :, :k]
+        vals_out[live], X_out[live] = vals, _mT(CC[:, :, :k]) @ S[0]
     return vals_out, X_out / np.linalg.norm(X_out, axis=2, keepdims=True)
 
 
@@ -115,11 +118,12 @@ def lobpcg_top(apply_fn, n: int, precond: np.ndarray, v0: np.ndarray | None = No
     """
     B, dim = precond.shape
     k = min(n + GUARD if n > 1 else n, dim)
-    X = np.stack([np.random.default_rng(int(s)).standard_normal((k, dim))
-                  for s in np.broadcast_to(seed, B)])
-    if v0 is not None:
-        v0 = _mT(np.asarray(v0, dtype=float))[:, :n]
-        X[:, :v0.shape[1]] = v0
+    v0 = np.empty((B, 0, dim)) if v0 is None else _mT(np.asarray(v0, dtype=float))[:, :n]
+    X = np.empty((B, k, dim))
+    if v0.shape[1] < k:  # the columns v0 leaves free are drawn
+        X[:] = [np.random.default_rng(int(s)).standard_normal((k, dim))
+                for s in np.broadcast_to(seed, B)]
+    X[:, :v0.shape[1]] = v0
 
     def apply_rows(rows, which):
         # the solver keeps blocks as rows (b, k, dim), the operator's layout

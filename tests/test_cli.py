@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from anderbox import experiments
+from anderbox import experiments, hamiltonian
 from anderbox.cli import main
 from anderbox.config import apply_overrides, load_config, print_config
 from anderbox.errors import ContractError, ConvergenceError
@@ -170,6 +170,17 @@ class TestCLI:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_selftest_catches_a_broken_solver(self, capsys, monkeypatch):
+        real = hamiltonian.lobpcg_top
+
+        def off(*args, **kw):
+            vals, vecs, res = real(*args, **kw)
+            return vals + 1e-7, vecs, res
+
+        monkeypatch.setattr(hamiltonian, "lobpcg_top", off)
+        assert main(["selftest"]) == 1
+        assert "FAIL  LOBPCG matches eigvalsh at dim 64" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command,extra", [
         ("scaling-test", ["--set", "L=2.0", "--set", "eps=0.5",

@@ -9,6 +9,7 @@ from anderbox.errors import ContractError
 from anderbox.experiments import (
     ExperimentConfig,
     _ascent_grid,
+    _l4sq_and_grad,
     _normalized_grid,
     _psi_sq_step,
     chi_ascent,
@@ -193,6 +194,25 @@ class TestRateInfimum:
         assert e2 < e1
         assert e2 <= 0.5 * (0.1 * L) ** 2 + 1e-6
 
+    def test_dual_ascent_stops_when_the_level_stops_moving(self, monkeypatch):
+        solves = []
+        real = experiments.eigenvalues
+
+        def counting(op, n, **kw):
+            solves.append(n)
+            return real(op, n, **kw)
+
+        monkeypatch.setattr(experiments, "eigenvalues", counting)
+        out = rate_infimum_estimate(L=4.0, n=1, a=1.0, nu=8)
+        early = len(solves)
+        solves.clear()
+        monkeypatch.setattr(experiments, "BALL_STOP", 0.0)  # 12 steps and a final solve
+        fixed = rate_infimum_estimate(L=4.0, n=1, a=1.0, nu=8)
+        assert early < len(solves)
+        assert out["energy"] == fixed["energy"]
+        for key in ("dual_lambda", "dual_sup_lambda"):
+            assert abs(out[key] - fixed[key]) <= 1e-12
+
     def test_nonincreasing_in_L(self):
         es = []
         prev_V = None
@@ -223,6 +243,18 @@ class TestAscentGrid:
         raw = self._step(psi, N, (2 * N + 2, 2 * N + 2))
         assert np.abs(self._step(psi, N, _ascent_grid(N)) - raw).max() < 1e-12
         assert np.abs(self._step(psi, N, (2 * N, 2 * N)) - raw).max() > 1e-7
+
+    @pytest.mark.parametrize("N", [16, 120])
+    def test_l4_norm_matches_fourth_power(self, N):
+        c = np.zeros((N + 1, N + 1))
+        c[1:, 1:] = np.random.default_rng(N).standard_normal((N, N))
+        psi = SpectralField(BoxDomain.square(4.0), DIRICHLET, c)
+        M = _ascent_grid(N)
+        l4sq, _, psi_sq = _l4sq_and_grad(psi, M)
+        g = inverse_transform(psi, M)
+        ref = math.sqrt(float(np.sum(g.samples**4)) * g.quad_weight())
+        assert abs(l4sq - ref) <= 1e-14 * ref
+        assert np.array_equal(psi_sq, g.samples**2)
 
     def test_V0_on_wrong_grid_rejected(self):
         N = 16
@@ -260,6 +292,11 @@ class TestWarmStarts:
         chi_estimate(L_ladder=(8.0, 12.0), nu=2.0, max_iter=30)
         assert sum(cold_solves) == 2 and len(cold_solves) > 2
 
-    def test_rate_infimum_one_cold_solve(self, cold_solves):
+    def test_rate_infimum_one_cold_solve(self, cold_solves, monkeypatch):
+        draws = []
+        real_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda s: draws.append(s) or real_rng(s))
         rate_infimum_estimate(L=1.0, n=1, a=1.0, nu=8, max_iter=4)
         assert sum(cold_solves) == 1 and len(cold_solves) > 1
+        # a warm n = 1 start fills the whole block: only the cold solve draws
+        assert len(draws) == 1

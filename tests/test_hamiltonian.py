@@ -25,6 +25,7 @@ from anderbox.hamiltonian import (
 )
 from anderbox.experiments import StudyRecord
 from anderbox.noise import INDICATOR, SMOOTH, enhance, restrict, sample
+from anderbox import solvers
 from anderbox.solvers import lobpcg_top
 
 from oracles import basis_value, dense_matrix, ims_fd_residual, min_max
@@ -238,14 +239,60 @@ class TestStacks:
             stack([ops[0], assemble(np.ones(M), wide, (6, 9), grid_M=M)])
 
     @pytest.mark.parametrize("n", [1, 4])
-    def test_values_independent_of_the_stack(self, n):
+    def test_values_independent_of_the_stack(self, n, monkeypatch):
         ops = self.noise_ops(4)
-        alone = [eigenvalues(op, n, tol=1e-9, seed=7) for op in ops]
+        alone = [eigenvalues(op, n, vectors=True, tol=1e-9, seed=7) for op in ops]
         for members in ([0, 1, 2, 3], [3, 1], [2, 0, 3]):
             got = eigenvalues([ops[i] for i in members], n, tol=1e-9, seed=7)
             for i, r in zip(members, got):
                 assert np.abs(r.values - alone[i].values).max() <= 1e-12
                 assert r.residuals.shape == (n,) and r.residuals.max() <= 1e-9
+        # warm from each problem's own vectors: they fill the start block for
+        # n = 1, so nothing is drawn; for n = 4 the two guard columns are the
+        # rows a cold start draws from the same seed
+        starts, draws = [], []
+        real_iterate, real_rng = solvers._iterate, np.random.default_rng
+
+        def recording(apply_rows, X, *args):
+            starts.append(X.copy())
+            return real_iterate(apply_rows, X, *args)
+
+        monkeypatch.setattr(solvers, "_iterate", recording)
+        monkeypatch.setattr(np.random, "default_rng", lambda s: draws.append(s) or real_rng(s))
+        v0 = np.stack([r.vectors for r in alone])
+        got = eigenvalues(ops, n, tol=1e-9, seed=[7, 8, 9, 10], v0=v0)
+        for r, a in zip(got, alone):
+            assert np.abs(r.values - a.values).max() <= 1e-12
+        assert draws == ([] if n == 1 else [7, 8, 9, 10])
+        assert np.array_equal(starts[0][:, :n], np.swapaxes(v0, 1, 2))
+        for X, s in zip(starts[0], draws):
+            assert np.array_equal(X[n:], real_rng(s).standard_normal((n + 2, ops[0].dim))[n:])
+
+    @pytest.mark.parametrize("N, n, tol", [(None, 4, 1e-9), (6, 34, 1e-9), (6, 35, 1e-9),
+                                           (6, 36, 1e-9), (8, 16, 1e-9), (5, 12, 1e-12)])
+    def test_basis_stays_orthonormal(self, N, n, tol, monkeypatch):
+        # Rayleigh-Ritz takes no Gram matrix of its basis, so the basis must
+        # be orthonormal on its kept rows at every iteration: on a stack of
+        # four top-4 problems, at dim 36 with n up to the whole spectrum, and
+        # where W has little room left beside [X, P] (dim 64 with n = 16;
+        # dim 25 with n = 12, iterated until W is mostly round-off)
+        worst = []
+        real = solvers._rayleigh_ritz
+
+        def checking(S, kept, k):
+            G = S[0] @ np.swapaxes(S[0], 1, 2)
+            both = kept[:, :, None] & kept[:, None, :]
+            worst.append(np.abs(np.where(both, G - np.eye(G.shape[1]), 0.0)).max())
+            return real(S, kept, k)
+
+        monkeypatch.setattr(solvers, "_rayleigh_ritz", checking)
+        if N is None:
+            rs = eigenvalues(self.noise_ops(4), n, tol=tol, seed=7)
+        else:
+            rs = [eigenvalues(assemble(V, BOX, N), n, tol=tol, seed=N + n)
+                  for V in (None, neumann_field(6, 100), neumann_field(6, 101))]
+        assert all(r.residuals.max() <= tol for r in rs)
+        assert len(worst) > 2 and max(worst) <= 1e-12
 
     def test_unreachable_tol_reports_each_problem(self):
         ops = self.noise_ops(2)
