@@ -562,13 +562,18 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
     exactly, so every iterate is feasible; the best (smallest) energy is
     reported together with a dual cross-check: re-maximizing the
     eigenvalue over the final energy ball, warm-started from the
-    optimizer, which must reach at least the level a.
+    optimizer, which must reach at least the level a.  The level must lie
+    above lambda_n of the zero potential, which already meets it.
     """
     box = BoxDomain.square(float(L))
     N = _pair(N if N is not None else int(math.ceil(nu * L)))
     M = _ascent_grid(N)
     if V0 is not None and np.shape(V0) != M:
         raise ContractError(f"V0 must be sampled on the grid {M}")
+    lam0 = float(np.sort(_laplacian_diag(box, N))[-n])
+    if not a > lam0:  # V = 0 already reaches the level: the infimum is 0
+        raise ContractError(f"target {a:g} must exceed lambda_{n}(0) = {lam0:.6g} "
+                            f"on the box of side {L:g}")
     V = np.array(V0, dtype=float) if V0 is not None else _start_bump(box, M)
     V = _normalized_grid(V, box.area)
 

@@ -220,6 +220,13 @@ def eigenvalues(op, n: int, vectors: bool = False, tol: float = 1e-9,
     warm-started from ``v0`` (one vector or up to n columns, or
     (B, dim, m)) and accepted at ``tol``.
     Its ConvergenceError carries the residuals, (B, n) for a list.
+
+    The preconditioner is 1 / (max diag - diag + delta) on the Laplacian
+    diagonal, with delta = min(3 pi^2 / max(side)^2, |V|_inf + 1) per
+    problem: the Laplacian's gap at the top of its spectrum, capped by the
+    bound that keeps |T V| < 1.  With |V|_inf + 1 alone, delta dwarfs the
+    gap on large boxes, T is nearly constant over the low modes where the
+    wanted vectors live, and LOBPCG runs almost unpreconditioned.
     """
     many = isinstance(op, (list, tuple))
     ops = list(op) if many else [op]
@@ -227,7 +234,8 @@ def eigenvalues(op, n: int, vectors: bool = False, tol: float = 1e-9,
         raise ContractError(f"requested {n} eigenvalues of a dim-{ops[0].dim} operator")
     st = stack(ops)
     v_max = 0.0 if st._v_grid is None else np.abs(st._v_grid).max(axis=(1, 2))[:, None]
-    precond = 1.0 / (-st.diag + st.diag.max(axis=1, keepdims=True) + v_max + 1.0)
+    shift = np.minimum(3.0 * np.pi**2 / max(st.box.sides) ** 2, v_max + 1.0)
+    precond = 1.0 / (-st.diag + st.diag.max(axis=1, keepdims=True) + shift)
     if v0 is not None:
         v0 = np.reshape(v0, (len(ops), st.dim, -1))
     try:

@@ -22,6 +22,8 @@ def run(verbose: bool = True) -> int:
     from .paraproducts import bony_split, plain_product
     from .noise import SMOOTH, expectation_field, renorm_constant, sample
     from .hamiltonian import assemble, eigenvalues, ims_partition
+    from .errors import ConvergenceError
+    from . import solvers
 
     rng = np.random.default_rng(0)
     box = BoxDomain.square(1.0)
@@ -67,6 +69,29 @@ def run(verbose: bool = True) -> int:
     res = np.linalg.norm(op.apply(r.vectors) - r.vectors * r.values, axis=0)
     check("LOBPCG matches eigvalsh at dim 64",
           np.abs(r.values - ref[:4]).max() < 1e-9 and res.max() <= 1e-9)
+
+    # dim 25, n = 12 at tol 1e-12 on the degenerate zero-potential spectrum
+    # iterates until W is mostly round-off beside [X, P]; Rayleigh-Ritz takes
+    # no Gram matrix of its basis, so the kept rows must stay orthonormal
+    worst, real_rr = [0.0], solvers._rayleigh_ritz
+
+    def checked_rr(S, kept, k):
+        G = S[0] @ np.swapaxes(S[0], 1, 2) - np.eye(S.shape[2])
+        both = kept[:, :, None] & kept[:, None, :]
+        worst[0] = max(worst[0], np.abs(np.where(both, G, 0.0)).max())
+        return real_rr(S, kept, k)
+
+    op = assemble(None, box, 5)
+    ref = np.linalg.eigvalsh(op.apply(np.eye(25)))[::-1]
+    solvers._rayleigh_ritz = checked_rr
+    try:
+        r = eigenvalues(op, 12, tol=1e-12, seed=17)
+        ok = np.abs(r.values - ref[:12]).max() < 1e-10 and worst[0] <= 1e-12
+    except ConvergenceError:
+        ok = False
+    finally:
+        solvers._rayleigh_ritz = real_rr
+    check("LOBPCG matches eigvalsh at dim 25, n = 12, orthonormal basis", ok)
 
     # a psi^2 potential of band 2N: every grid M > 2N integrates the ascent
     # step exactly, M = 2N does not

@@ -106,7 +106,11 @@ def lobpcg_top(apply_fn, n: int, precond: np.ndarray, v0: np.ndarray | None = No
     ``apply_fn(block, which)`` maps the (len(which), dim, k) block of the
     problems ``which`` (indices into the stack) to A times it.  ``precond``
     (B, dim) is the diagonal of a positive preconditioner for each
-    problem's ``sigma - A``.  ``v0`` (B, dim, m), m <= n, seeds the start
+    problem's ``sigma - A``; it pays only if it varies over the wanted top
+    modes, so its shift should be on the scale of the spectral gap there
+    (``hamiltonian.eigenvalues`` takes the Laplacian's top gap, capped at
+    |V|_inf + 1).  The shift never decides acceptance, which is on true
+    residuals.  ``v0`` (B, dim, m), m <= n, seeds the start
     blocks; other columns are drawn from ``seed`` (an int, or one per
     problem).  For n > 1 the blocks carry ``GUARD`` extra columns.  A
     problem is accepted when its true residuals from a fresh apply are at

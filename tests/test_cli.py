@@ -106,6 +106,7 @@ class TestCLI:
         ["chi", "--set", "chi_iters=0"],
         ["rate-inf", "--set", "target=nan"],
         ["growth", "--set", "slack=nan"],
+        ["rate-inf", "--set", "L=4", "--set", "target=-5"],
     ])
     def test_bad_input_exits_nonzero(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path)])

@@ -23,9 +23,9 @@ from anderbox.hamiltonian import (
     potential_on_grid,
     stack,
 )
-from anderbox.experiments import StudyRecord
-from anderbox.noise import INDICATOR, SMOOTH, enhance, restrict, sample
-from anderbox import solvers
+from anderbox.experiments import StudyRecord, _ascent_grid, _normalized_grid, _start_bump
+from anderbox.noise import INDICATOR, SMOOTH, enhance, mollify, restrict, sample
+from anderbox import hamiltonian, solvers
 from anderbox.solvers import lobpcg_top
 
 from oracles import basis_value, dense_matrix, ims_fd_residual, min_max
@@ -300,6 +300,62 @@ class TestStacks:
             eigenvalues(ops, 3, tol=1e-30)
         assert np.shape(err.value.residuals) == (2, 3)
         assert np.all(err.value.residuals > 1e-30)
+
+
+class TestPreconditionerShift:
+    @staticmethod
+    def applies(apply_fn, n, precond, **kw):
+        """lobpcg_top's result and the number of operator applies it took."""
+        count = [0]
+
+        def counted(block, which):
+            count[0] += 1
+            return apply_fn(block, which)
+
+        return lobpcg_top(counted, n, precond, **kw), count[0]
+
+    def compare(self, ops, n, seed, monkeypatch):
+        """Applies of ``eigenvalues`` and of the same solve preconditioned
+        with the shift |V|_inf + 1 alone, after checking both agree."""
+        new = []
+
+        def counting(apply_fn, n, precond, **kw):
+            out, count = self.applies(apply_fn, n, precond, **kw)
+            new.append(count)
+            return out
+
+        monkeypatch.setattr(hamiltonian, "lobpcg_top", counting)
+        rs = eigenvalues(ops, n, tol=1e-8, seed=seed)
+        st = stack(ops)
+        v_max = np.abs(st._v_grid).max(axis=(1, 2))[:, None]
+        flat = 1.0 / (st.diag.max(axis=1, keepdims=True) - st.diag + v_max + 1.0)
+        (vals, _, _), old = self.applies(st.apply, n, flat, tol=1e-8,
+                                         seed=np.broadcast_to(seed, len(ops)))
+        assert np.abs(np.array([r.values for r in rs]) - vals).max() < 1e-9
+        return new[0], old
+
+    def test_fewer_applies_on_psi_sq_ascent_potential(self, monkeypatch):
+        # |V|_inf + 1 is 10 times the Laplacian's top gap 3 pi^2 / 16^2
+        box = BoxDomain.square(16.0)
+        M = _ascent_grid((40, 40))
+        op = assemble(_normalized_grid(_start_bump(box, M), box.area), box, 40, grid_M=M)
+        new, old = self.compare([op], 1, 0, monkeypatch)
+        assert new < old
+
+    def test_fewer_applies_on_restricted_noise_top4(self, monkeypatch):
+        # |V|_inf + 1 is 8 to 11 times the top gap 3 pi^2 / 4^2
+        box = BoxDomain.square(4.0)
+        ops = [assemble(restrict(sample(box, 32, 40 + i), 0.25, box, 64, INDICATOR), box, 32)
+               for i in range(3)]
+        new, old = self.compare(ops, 4, [0, 1, 2], monkeypatch)
+        assert new < old
+
+    def test_no_more_applies_on_small_noise_unit_box(self, monkeypatch):
+        # the top gap 3 pi^2 is far above |V|_inf + 1: the shift is unchanged
+        ops = [assemble(mollify(sample(BOX, 16, s), 0.1, SMOOTH) * 0.1, BOX, 16)
+               for s in range(3)]
+        new, old = self.compare(ops, 1, [0, 1, 2], monkeypatch)
+        assert new <= old
 
 
 class TestMinMax:
