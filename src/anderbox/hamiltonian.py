@@ -5,12 +5,21 @@ box-comparison checker.
 
 The potential pairing <V d_l, d_k> is evaluated by quadrature on a grid
 padded past the total band limit, so the matrix-free apply is the exact
-Galerkin projection of multiplication by V.
+Galerkin projection of multiplication by V.  Its sine synthesis and
+analysis are matmuls against cached (M, N) sine tables, one per axis.  At
+the truncations the studies use (N <= 120) they cost less than pocketfft's
+DSTs, whose per-call overhead dominates there: one BLAS thread, best of 25
+interleaved batches, 36 against 103 us per apply at N 32, M 72, and 1.97
+against 3.75 ms for eight problems of six columns.  Their work grows as
+N M (N + M) per column, so at N 120, M 243 the two are even (0.96 against
+0.86 ms best, 1.18 against 1.26 ms median) and at N 200 the tables are
+1.4 times slower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 import time
 
@@ -31,10 +40,28 @@ from .geometry import (
 from .noise import EnhancedNoise, restrict
 from .solvers import lobpcg_top
 
-# doubles of sine-transform grid per block of a stacked apply: 512 KB keeps
-# a block's transients in a 2 MB L2 cache (at dim 1024, eight problems of
-# six columns solve in 64 ms at this size and 88 ms in one 2 MB block)
+# doubles of quadrature grid per block of a stacked apply: 512 KB keeps a
+# block's matmul transients in cache (eight problems of six columns at
+# N 64, M 144 apply in 10.8 ms at this size, 12.0 ms unblocked; half or
+# twice the size is no faster on any shape the studies use)
 TRANSFORM_BLOCK = 1 << 16
+
+
+@functools.lru_cache(maxsize=32)  # a study runs a handful of shapes
+def _sine_table(N: int, M: int) -> np.ndarray:
+    """Read-only (M, N) table S[j, k - 1] = 2 sin(pi k (j + 1/2) / M) of the
+    Dirichlet modes k = 1..N at M midpoints: S @ c is the DST-III of c
+    zero-padded to M slots, S.T @ g the DST-II of g cut to N modes.  The
+    phase k (2j + 1) is reduced mod 4M in integers and folded into the
+    first quadrant, so no entry carries the round-off of a large argument."""
+    j = np.arange(M)[:, None]
+    k = np.arange(1, N + 1)[None, :]
+    r = k * (2 * j + 1) % (4 * M)  # phase in units of pi / (2M)
+    sign = np.where(r < 2 * M, 2.0, -2.0)
+    r = r % (2 * M)
+    S = sign * np.sin(np.pi / (2 * M) * np.minimum(r, 2 * M - r))
+    S.setflags(write=False)
+    return S
 
 
 def _laplacian_diag(box: BoxDomain, N) -> np.ndarray:
@@ -66,27 +93,25 @@ class GalerkinOperator:
     def apply(self, c: np.ndarray, which=None) -> np.ndarray:
         """A c for one problem's vector (dim,) or block of columns (dim, k),
         or for a stack's blocks (b, dim, k) of the problems ``which`` (all
-        when None).  Each axis and direction costs one sine transform per
-        group of problems whose grids fit ``TRANSFORM_BLOCK``."""
+        when None).  Each axis and direction costs one matmul against the
+        cached sine table per group of problems whose grids fit
+        ``TRANSFORM_BLOCK``."""
         C = c if np.ndim(c) == 3 else np.asarray(c).reshape(1, self.dim, -1)
-        # work on rows (b, k, dim), the layout the sine transforms want
+        # work on rows (b, k, dim): each row is an (N0, N1) coefficient matrix
         rows = C.swapaxes(1, 2)
         sel = slice(None) if which is None else which
         out = rows * self.diag[sel][:, None, :]
         if self._v_grid is not None:
             (N0, N1), (M0, M1) = self.trunc, self._grid_M
+            S0, S1 = _sine_table(N0, M0), _sine_table(N1, M1)
             v_grid = self._v_grid[sel]
             b, k, _ = rows.shape
             step = max(1, TRANSFORM_BLOCK // (k * M0 * M1))  # problems per block
             for s in range(0, b, step):
-                # Dirichlet modes 1..N sit in DST slots 0..N-1
-                g = _fft.dst(rows[s:s + step].reshape(-1, N0, N1), type=3, n=M0, axis=1)
-                g = _fft.dst(g, type=3, n=M1, axis=2, overwrite_x=True)
+                g = S0 @ (rows[s:s + step].reshape(-1, N0, N1) @ S1.T)
                 g = g.reshape(-1, k, M0, M1)
                 g *= v_grid[s:s + step, None]
-                w = _fft.dst(g.reshape(-1, M0, M1), type=2, axis=2,
-                             overwrite_x=True)[:, :, :N1]
-                w = _fft.dst(w, type=2, axis=1)[:, :N0, :]
+                w = (S0.T @ g.reshape(-1, M0, M1)) @ S1
                 # synthesis sqrt(2/s)/2 times analysis sqrt(s/2)/M, per axis
                 out[s:s + step] += w.reshape(-1, k, self.dim) * (0.25 / (M0 * M1))
         return out.swapaxes(1, 2).reshape(np.shape(c))
@@ -181,6 +206,8 @@ def assemble(potential, box: BoxDomain, N, shift: float = 0.0,
         raise ContractError("operator truncation must be >= 1")
     M = (tuple(grid_M) if grid_M is not None
          else _operator_grid(N, _potential_band(potential)))
+    if M[0] < N[0] + 1 or M[1] < N[1] + 1:
+        raise ContractError(f"quadrature grid {M} cannot hold the modes 1..{N}")
     diag = _laplacian_diag(box, N) - shift
 
     v_grid = None

@@ -15,7 +15,7 @@ def run(verbose: bool = True) -> int:
             print(f"{'PASS' if ok else 'FAIL'}  {name}")
 
     from .geometry import (
-        DIRICHLET, NEUMANN, BoxDomain, SpectralField,
+        DIRICHLET, NEUMANN, BoxDomain, GridField, SpectralField,
         forward_transform, inverse_transform,
     )
     from .calculus import make_partition, resolvent, multiplier
@@ -111,6 +111,22 @@ def run(verbose: bool = True) -> int:
     check("variational ascent grid alias-free",
           np.abs(ascent_step((2 * N + 1,) * 2) - ref).max() < 1e-12
           and np.abs(ascent_step((2 * N,) * 2) - ref).max() > 1e-7)
+
+    # the apply's sine-table matmuls against the public transforms, column
+    # by column, on a rectangle with N0 != N1 and M0 != M1
+    rect = BoxDomain((0.0, 0.0), (1.0, 1.5))
+    op = assemble(SpectralField(rect, NEUMANN, rng.standard_normal((8, 5))), rect, (6, 9))
+    X = rng.standard_normal((op.dim, 3))
+    ref = np.column_stack([
+        op.diag[0] * x + forward_transform(
+            GridField(rect, inverse_transform(op.coeff_field(x), op._grid_M).samples
+                      * op._v_grid[0]), DIRICHLET, op.trunc).coeffs[1:, 1:].ravel()
+        for x in X.T])
+    try:
+        ok = np.abs(op.apply(X) - ref).max() <= 1e-12 * np.abs(ref).max()
+    except ValueError:  # a table product of mismatched shapes
+        ok = False
+    check("rectangular apply matches the public transforms", ok)
 
     ims = ims_partition(2.0, 0.5)
     tgrid = np.linspace(-3, 7, 2001)

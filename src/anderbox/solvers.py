@@ -11,6 +11,7 @@ from .errors import ConvergenceError
 
 LOBPCG_MAXITER = 200  # iterations per LOBPCG run
 LOBPCG_RERUNS = 2     # warm re-runs from the returned block on a residual miss
+LOBPCG_STALL = 10     # iterations without a new low of the worst residual end a run
 GUARD = 2             # extra, unjudged columns iterated when n > 1
 DROP = 1e-10          # dependent below: relative Gram eigenvalue, norm^2 left by projection
 
@@ -69,25 +70,33 @@ def _iterate(apply_rows, X, precond, n, tol, which):
     (b, k, dim), each until its first n residuals are at most ``tol``:
     Ritz values and unit rows.  ``S`` is the orthonormal basis [X, P, W]
     and A times it, (2, b, 3k, dim), ``kept`` its nonzero rows; W is made
-    orthonormal and orthogonal to [X, P] before it is applied."""
+    orthonormal and orthogonal to [X, P] before it is applied.  The
+    residuals of the rotated A X have a round-off floor near 1e-12 of the
+    operator's scale, so a problem whose worst residual sets no new low for
+    ``LOBPCG_STALL`` iterations leaves too; the caller's fresh apply judges
+    it."""
     b, k, dim = X.shape
     vals_out, X_out = np.empty((b, k)), np.empty_like(X)
     X, kept = _orthonormal_rows(X)
     S = np.stack([X, apply_rows(X, which)])
     vals, CC, kept = _rayleigh_ritz(S, kept, k)
-    live = np.arange(b)
+    live, best, stall = np.arange(b), np.full(b, np.inf), np.zeros(b, dtype=int)
     for _ in range(LOBPCG_MAXITER):
         S, last = np.empty((2, len(live), 3 * k, dim)), S  # next [X, P]; P starts at 0
         np.matmul(_mT(CC), last, out=S[:, :, :2 * k])
         R = S[1, :, :k] - vals[:, :, None] * S[0, :, :k]
         res = np.sqrt(np.einsum("bkd,bkd->bk", R, R))
-        done = np.all(res[:, :n] <= tol, axis=1)
+        worst = res[:, :n].max(axis=1)
+        stall = np.where(worst < best, 0, stall + 1)
+        best = np.minimum(best, worst)
+        done = (worst <= tol) | (stall >= LOBPCG_STALL)
         if done.any():
             vals_out[live[done]], X_out[live[done]] = vals[done], S[0, done, :k]
             live, which, precond = live[~done], which[~done], precond[~done]
             if not live.size:
                 break
             S, R, res, vals, kept = S[:, ~done], R[~done], res[~done], vals[~done], kept[~done]
+            best, stall = best[~done], stall[~done]
         W = R * (precond[:, None, :] * (res > tol)[:, :, None])  # soft locking
         W, kept_w = _orthonormal_rows(W, S[0, :, :2 * k])
         S[0, :, 2 * k:] = W

@@ -192,9 +192,11 @@ def single_mode_lower_bound(L):
 
 
 def dense_matrix(op):
-    """The operator's matrix, column by column from its apply: a reference
-    for dense LAPACK solves and entry-wise checks."""
-    return op.apply(np.eye(op.dim))
+    """The operator's matrix from its apply, 64 columns at a time so the
+    apply's transients stay small at any dim: a reference for dense LAPACK
+    solves and entry-wise checks."""
+    eye = np.eye(op.dim)
+    return np.hstack([op.apply(eye[:, i:i + 64]) for i in range(0, op.dim, 64)])
 
 
 def min_max(op, n, trial):

@@ -257,3 +257,21 @@ def test_cli_defaults_blas_threads_to_one(user_value, expect):
                          capture_output=True, text=True, timeout=120).stdout.split()
     assert out[0] == expect
     assert all(t == expect for t in out[1:])
+
+
+def _run_module(*argv):
+    """``python -m anderbox`` from the source tree, as a user runs it
+    without installing."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "anderbox", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point(tmp_path):
+    ok = _run_module("selftest")
+    assert ok.returncode == 0 and "checks passed" in ok.stdout
+    bad = _run_module("spectrum", "--set", "bogus=1", "--out", str(tmp_path))
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error:") and "Traceback" not in bad.stderr

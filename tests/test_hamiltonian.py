@@ -74,6 +74,18 @@ class TestAssemble:
         assert abs(dense_matrix(op)[3, 0] - oracle) < 1e-10
 
 
+def transform_apply(op, X):
+    """A X for a single-problem operator, one column at a time through the
+    public (pocketfft) transforms: the reference for the apply's tables."""
+    cols = []
+    for x in X.T:
+        u = inverse_transform(op.coeff_field(x), op._grid_M)
+        w = forward_transform(GridField(op.box, u.samples * op._v_grid[0]),
+                              DIRICHLET, op.trunc)
+        cols.append(op.diag[0] * x + w.coeffs[1:, 1:].ravel())
+    return np.column_stack(cols)
+
+
 class TestBlockApply:
     # rectangular box, N0 != N1, on the grid assemble picks for the band
     RECT = BoxDomain((0.0, 0.0), (1.0, 1.5))
@@ -87,14 +99,7 @@ class TestBlockApply:
         op = self.rect_operator()
         assert op.trunc == (6, 9) and op._grid_M[0] != op._grid_M[1]
         X = np.random.default_rng(13).standard_normal((op.dim, 5))
-        ref = []
-        for x in X.T:
-            # one column at a time through the public transforms
-            u = inverse_transform(op.coeff_field(x), op._grid_M)
-            w = forward_transform(GridField(self.RECT, u.samples * op._v_grid[0]),
-                                  DIRICHLET, op.trunc)
-            ref.append(op.diag[0] * x + w.coeffs[1:, 1:].ravel())
-        ref = np.column_stack(ref)
+        ref = transform_apply(op, X)
         scale = np.abs(ref).max()
         assert np.abs(op.apply(X) - ref).max() <= 1e-12 * scale
         assert op.apply(X[:, 0]).shape == (op.dim,)
@@ -118,6 +123,67 @@ class TestBlockApply:
         assert any(s[2] == 5 for s in shapes)
         ref = np.linalg.eigvalsh(dense_matrix(op))[::-1][:3]
         assert np.abs(vals[0] - ref).max() < 1e-9
+
+
+class TestSineTableApply:
+    """The apply's sine-table matmuls on the grids ``assemble`` picks for
+    sampled potentials (odd M among them), against the public transforms
+    and the operator's dense matrix."""
+
+    @pytest.mark.parametrize("N, M", [((20, 20), (45, 45)), ((32, 32), (72, 72)),
+                                      ((60, 60), (125, 125)), ((12, 20), (27, 45))])
+    def test_apply_matches_transforms_and_dense(self, N, M):
+        box = BoxDomain((0.0, 0.0), (1.0, 1.0 if N[0] == N[1] else 1.5))
+        rng = np.random.default_rng(N[0] + N[1])
+        op = assemble(rng.standard_normal(M), box, N)
+        assert op._grid_M == M
+        X = rng.standard_normal((op.dim, 4))
+        got = op.apply(X)
+        ref = transform_apply(op, X)
+        scale = np.abs(ref).max()
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+        assert np.abs(op.apply(X[:, 1]) - ref[:, 1]).max() <= 1e-12 * scale
+        A = dense_matrix(op)
+        assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
+        assert np.abs(A @ X - got).max() <= 1e-12 * scale
+
+    def test_stack_of_block_groups_with_permuted_which(self):
+        box, N, M = BoxDomain.square(1.0), (20, 20), (45, 45)
+        ops = [assemble(np.random.default_rng(60 + i).standard_normal(M), box, N)
+               for i in range(5)]
+        st = stack(ops)
+        k = TRANSFORM_BLOCK // (M[0] * M[1]) // 2
+        step = TRANSFORM_BLOCK // (k * M[0] * M[1])
+        assert 1 < step < 5  # three groups of problems per apply
+        X = np.random.default_rng(65).standard_normal((5, st.dim, k))
+        ref = np.stack([transform_apply(op, x) for op, x in zip(ops, X)])
+        scale = np.abs(ref).max()
+        for which in (np.array([4, 1, 3, 0, 2]), np.array([2, 0, 3])):
+            assert np.abs(st.apply(X[which], which) - ref[which]).max() <= 1e-12 * scale
+
+    def test_tables_read_only_and_cached(self):
+        hamiltonian._sine_table.cache_clear()
+        op = assemble(neumann_field(6, seed=3), BOX, (5, 7))
+        X = np.random.default_rng(66).standard_normal((op.dim, 2))
+        first = op.apply(X)
+        assert np.array_equal(op.apply(X), first)
+        info = hamiltonian._sine_table.cache_info()
+        assert (info.misses, info.hits) == (2, 2)  # one table per axis, built once
+        S = hamiltonian._sine_table(5, op._grid_M[0])
+        assert not S.flags.writeable
+        with pytest.raises(ValueError):
+            S[0, 0] = 0.0
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the reference needs extended-precision long double")
+    def test_table_entries_at_large_N_M(self):
+        # entries to an ulp of 2 at N M = 81000, where the plain float
+        # argument pi k (j + 1/2) / M of up to 628 is off by up to 3e-13
+        N, M = 200, 405
+        j, k = np.arange(M)[:, None], np.arange(1, N + 1)[None, :]
+        pi = np.arccos(np.longdouble(-1))  # extended precision
+        exact = 2 * np.sin(pi * (k * (2 * j + 1)) / (2 * M))
+        assert np.abs(hamiltonian._sine_table(N, M) - exact).max() <= 4.5e-16
 
 
 class TestEigenvalues:
@@ -237,6 +303,9 @@ class TestStacks:
         wide = BoxDomain((0.0, 0.0), (2.0, 1.5))  # same modes and grid, other sides
         with pytest.raises(ContractError):
             stack([ops[0], assemble(np.ones(M), wide, (6, 9), grid_M=M)])
+        # a grid that cannot hold the modes would alias them
+        with pytest.raises(ContractError):
+            assemble(np.ones((6, 9)), self.RECT, (6, 9), grid_M=(6, 9))
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_values_independent_of_the_stack(self, n, monkeypatch):
@@ -293,6 +362,19 @@ class TestStacks:
                   for V in (None, neumann_field(6, 100), neumann_field(6, 101))]
         assert all(r.residuals.max() <= tol for r in rs)
         assert len(worst) > 2 and max(worst) <= 1e-12
+
+    def test_round_off_floor_ends_the_run(self, monkeypatch):
+        # at tol 1e-12 the residuals of the rotated A X stall at their
+        # round-off floor; the run leaves once they stop falling and the
+        # fresh apply accepts (all 200 iterations ran before, 22 reach 1e-11)
+        calls = []
+        real = solvers._rayleigh_ritz
+        monkeypatch.setattr(solvers, "_rayleigh_ritz",
+                            lambda *args: calls.append(1) or real(*args))
+        op = assemble(None, BOX, 8)
+        r = eigenvalues(op, 16, tol=1e-12, seed=24)
+        assert r.residuals.max() <= 1e-12 and len(calls) <= 40
+        assert np.abs(r.values - np.sort(op.diag[0])[::-1][:16]).max() <= 1e-9
 
     def test_unreachable_tol_reports_each_problem(self):
         ops = self.noise_ops(2)
