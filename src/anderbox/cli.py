@@ -26,8 +26,10 @@ from . import __version__
 from .config import apply_overrides, load_config, print_config, write_manifest
 from .errors import ContractError, ConvergenceError
 from .experiments import (
+    BOUNDS,
     ExperimentConfig,
     StudyRecord,
+    box_bounds_study,
     chi_estimate,
     growth_study,
     rate_infimum_estimate,
@@ -164,18 +166,10 @@ def _cmd_renorm(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_box_bounds(cfg: ExperimentConfig) -> int:
-    from .hamiltonian import box_bounds_check
-
-    rep = box_bounds_check(cfg.L, cfg.r, cfg.a_overlap, cfg.eps,
-                           seeds=range(cfg.seed, cfg.seed + cfg.replicas),
-                           nu_trunc=cfg.nu, slack=cfg.slack)
-    rows = rep.pop("rows")
-    rec = StudyRecord()
-    for row in rows:
-        rec.add(cfg.L, cfg.eps, cfg.beta, row["seed"], 1, row["lam1"], row["wall_ms"])
-    code = 0 if all(rep[k] == 0 for k in ("upper_a", "upper_b", "lower", "mono")) else 1
-    _finish(cfg, "box_bounds", rec, rep)
-    return code
+    cfg = _as_run(cfg, profile="indicator")
+    rec = box_bounds_study(cfg)
+    _finish(cfg, "box_bounds", rec, rec.summary)
+    return 1 if any(rec.summary[k] for k in BOUNDS) else 0
 
 
 def _cmd_chi(cfg: ExperimentConfig) -> int:

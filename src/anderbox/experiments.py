@@ -1,7 +1,7 @@
 """Desk-scale quantitative studies: eigenvalue growth in the box size, the
-scaling-in-distribution law, tail frequencies, small-noise concentration,
-and the variational constant matching the planar fourth-power interpolation
-inequality.
+pathwise box-comparison inequalities, the scaling-in-distribution law, tail
+frequencies, small-noise concentration, and the variational constant
+matching the planar fourth-power interpolation inequality.
 
 Every study is a pure function of (config, seed base): rerun equality is
 bit-exact on the recorded eigenvalues.
@@ -23,7 +23,13 @@ from .geometry import (
     midpoint_nodes,
     _pair,
 )
-from .hamiltonian import _laplacian_diag, _operator_grid, assemble, eigenvalues
+from .hamiltonian import (
+    _laplacian_diag,
+    _operator_grid,
+    assemble,
+    eigenvalues,
+    ims_partition,
+)
 from .noise import (
     INDICATOR,
     SMOOTH,
@@ -223,6 +229,95 @@ def growth_study(cfg: ExperimentConfig) -> StudyRecord:
         "trend_corr_logL": trend,
         "c_subtracted": c_eps,
     }
+    return rec
+
+
+# -- box comparison -----------------------------------------------------------
+
+BOUNDS = ("upper_a", "upper_b", "lower", "mono")
+
+
+def _box_bounds_group(task):
+    """The eigenvalue comparison inequalities for a group of seeds.
+
+    A parent noise lives on [0, 3L]^2 with the study box Q_L centred, so
+    every overlapping tile r k + [-a, r]^2 stays inside the parent.  V is
+    beta times the same mollified parent noise restricted to every box, so
+    the comparisons are pathwise; each draw is checked, at Galerkin
+    tolerance, for
+
+      (upper-a)  lambda(Q_L, V)       <= lambda(Q_L, V - Phi) + max Phi + slack
+      (upper-b)  lambda(Q_L, V - Phi) <= max_tiles lambda(tile, V) + slack
+      (lower)    lambda_n(Q_L, V)     >= min_disjoint lambda(tile_i, V) - slack
+      (mono)     lambda_k(subbox, V)  <= lambda_k(Q_L, V) + slack, k = 1, 2
+
+    with n the number of disjoint tiles.  Each kind of box is one stacked
+    solve over the group, every problem seeded by its draw's seed.  Returns
+    per seed (lambda(Q_L, V), the ``BOUNDS`` violation flags, wall ms), the
+    group's wall time shared evenly."""
+    cfg_d, seeds = task
+    cfg = ExperimentConfig(**cfg_d)
+    L, r, a = cfg.L, cfg.r, cfg.a_overlap
+    t0 = time.perf_counter()
+    n_par = int(math.ceil(cfg.nu * 3 * L))
+    draws = [sample(BoxDomain.square(3 * L), n_par, s) for s in seeds]
+
+    def ops_on(boxes):
+        N = cfg.trunc(boxes[0].sides[0])
+        return [assemble(restrict(d, cfg.eps, b, 2 * N, INDICATOR) * cfg.beta, b, N)
+                for d in draws for b in boxes]
+
+    def top(ops, n):
+        """Top n eigenvalues of each draw's problems, (draws, boxes, n)."""
+        res = eigenvalues(ops, n, tol=1e-8, seed=np.repeat(seeds, len(ops) // len(seeds)))
+        return np.array([x.values for x in res]).reshape(len(seeds), -1, n)
+
+    n_cells = int(math.floor(L / r + 1e-9))
+    kmax = int(math.floor(L / r + 1.0 - 1e-9))  # |k|_inf < L/r + 1
+    tiles = [BoxDomain((L + r * k1 - a, L + r * k2 - a), (r + a, r + a))
+             for k1 in range(kmax + 1) for k2 in range(kmax + 1)]
+    disjoint = [BoxDomain((L + r * k1, L + r * k2), (r, r))
+                for k1 in range(n_cells) for k2 in range(n_cells)]
+
+    study = BoxDomain((L, L), (L, L))
+    ops = ops_on([study])
+    lam = top(ops, max(4, len(disjoint)))[:, 0]
+    M = ops[0]._grid_M
+    phi = ims_partition(r, a).phi_grid(study, M)
+    lam_pen = top([assemble(op._v_grid[0] - phi, study, ops[0].trunc, grid_M=M)
+                   for op in ops], 1)[:, 0, 0]
+    tile_max = top(ops_on(tiles), 1)[:, :, 0].max(axis=1)
+    dis_min = top(ops_on(disjoint), 1)[:, :, 0].min(axis=1)
+    lam_sub = top(ops_on(disjoint[:1]), 2)[:, 0]
+
+    s = cfg.slack
+    flags = np.column_stack([
+        ~(lam[:, 0] <= lam_pen + float(phi.max()) + s),
+        ~(lam_pen <= tile_max + s),
+        ~(lam[:, len(disjoint) - 1] >= dis_min - s),
+        ~np.all(lam_sub <= lam[:, :2] + s, axis=1),
+    ])
+    ms = (time.perf_counter() - t0) * 1e3 / len(seeds)
+    return [(float(l1), f, ms) for l1, f in zip(lam[:, 0], flags)]
+
+
+def box_bounds_study(cfg: ExperimentConfig) -> StudyRecord:
+    """Per-draw check of the IMS localization and Dirichlet bracketing
+    bounds of ``_box_bounds_group`` on the box Q_L with tiles of side r and
+    overlap a: one row per draw with lambda(Q_L, V), and in the summary the
+    number of draws that violate each bound.  The restriction always uses
+    the indicator cutoff."""
+    ims = ims_partition(cfg.r, cfg.a_overlap)
+    rec = StudyRecord(config=asdict(cfg))
+    seeds = [cfg.seed + i for i in range(cfg.replicas)]
+    counts = np.zeros(len(BOUNDS), dtype=int)
+    for seed, (lam1, flags, wall) in zip(
+            seeds, _map_seeds(_box_bounds_group, asdict(cfg), seeds, cfg.workers)):
+        rec.add(cfg.L, cfg.eps, cfg.beta, seed, 1, lam1, wall)
+        counts += flags
+    rec.summary = dict(zip(BOUNDS, counts.tolist()))
+    rec.summary["draws"] = len(seeds)
+    rec.summary["phi_max_over_a2"] = float(ims.K**2 * 2 / cfg.a_overlap**2)
     return rec
 
 
@@ -596,42 +691,25 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
         if it > 2 and abs(energies[-1] - energies[-2]) < 1e-8 * max(1.0, best):
             break
 
-    def _ball_ascent(radius, V_start, block, iters=12):
-        """Maximize lambda_n over |V|_2 <= radius by the fixed-point map
-        V -> radius * psi_n^2 / |psi_n^2|_2 for ``iters`` steps, or until
-        lambda_n moves by less than BALL_STOP; returns the best level seen."""
-        Vd = V_start * (radius / _grid_norm(V_start, box.area))
-        lams = []
-        for _ in range(iters + 1):
-            r, *_, psi_sq = _psi_sq_step(Vd, box, N, M, n, 1e-10, block, seed)
-            block = r.vectors
-            lams.append(float(r.values[n - 1]))
-            if len(lams) > 1 and abs(lams[-1] - lams[-2]) < BALL_STOP:
-                break
-            Vd = psi_sq * (radius / _grid_norm(psi_sq, box.area))
-        return max(lams)
-
-    # handshake: re-maximizing over the final energy ball, warm-started
-    # from the optimizer, must recover at least the level a
-    lam_dual = _ball_ascent(math.sqrt(2.0 * best), best_V, block)
-    # level-ball dual: sup of lambda_n over |V|_2^2 <= 1/a, reported as
-    # 1/(2 sup) when the sup is positive; on small boxes the ball cannot
-    # lift the eigenvalue above zero and the dual is unattained (the two
-    # sides only meet in the large-box limit)
-    dual_level_ball = None
-    s_star = None
-    if a > 0:
-        s_star = _ball_ascent(math.sqrt(1.0 / a), best_V, block)
-        if s_star > 0:
-            dual_level_ball = 1.0 / (2.0 * s_star)
+    # handshake: maximize lambda_n over the final energy ball |V|_2 <= radius
+    # by the fixed-point map V -> radius psi_n^2 / |psi_n^2|_2, warm-started
+    # from the optimizer, for 12 steps or until lambda_n moves by less than
+    # BALL_STOP; the best level seen must recover at least the level a
+    radius = math.sqrt(2.0 * best)
+    Vd = best_V * (radius / _grid_norm(best_V, box.area))
+    lams = []
+    for _ in range(12 + 1):
+        r, *_, psi_sq = _psi_sq_step(Vd, box, N, M, n, 1e-10, block, seed)
+        block = r.vectors
+        lams.append(float(r.values[n - 1]))
+        if len(lams) > 1 and abs(lams[-1] - lams[-2]) < BALL_STOP:
+            break
+        Vd = psi_sq * (radius / _grid_norm(psi_sq, box.area))
     return {
         "energy": best,
         "trace": energies,
         "optimizer_grid": best_V,
         "grid_M": M,
-        "dual_lambda": lam_dual,
-        "dual_radius_sq_over_2": best,
-        "dual_sup_lambda": s_star,
-        "dual_level_ball": dual_level_ball,
+        "dual_lambda": max(lams),
         "level": a,
     }

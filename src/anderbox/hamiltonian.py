@@ -1,7 +1,6 @@
 """Galerkin operators Laplacian + V in the Dirichlet sine basis, eigenvalue
-extraction, the Courant-Fischer evaluation on trial subspaces, the smooth
-squared partition of unity with its localization penalty, and the
-box-comparison checker.
+extraction, and the smooth squared partition of unity with its
+localization penalty.
 
 The potential pairing <V d_l, d_k> is evaluated by quadrature on a grid
 padded past the total band limit, so the matrix-free apply is the exact
@@ -20,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import functools
-import math
-import time
 
 import numpy as np
 from scipy import fft as _fft
@@ -37,7 +34,7 @@ from .geometry import (
     _synthesis_axis,
     midpoint_nodes,
 )
-from .noise import EnhancedNoise, restrict
+from .noise import EnhancedNoise
 from .solvers import lobpcg_top
 
 # doubles of quadrature grid per block of a stacked apply: 512 KB keeps a
@@ -219,22 +216,13 @@ def assemble(potential, box: BoxDomain, N, shift: float = 0.0,
     return GalerkinOperator(box, N, v_grid, M, diag[None])
 
 
-def operator_from_noise(en: EnhancedNoise, N, beta: float = 1.0,
-                        renorm: str = "field") -> GalerkinOperator:
-    """Operator Laplacian + beta xi - beta^2 (renormalization).
-
-    renorm = "field":    subtract the full x-dependent expectation field
-    renorm = "constant": subtract only the lattice constant c_{eps,L}
-    """
-    N = _pair(N)
-    if renorm == "field":
-        n = (max(en.xi.trunc[0], en.expectation.trunc[0]),
-             max(en.xi.trunc[1], en.expectation.trunc[1]))
-        veff = en.xi.pad_to(n) * beta - en.expectation.pad_to(n) * beta**2
-        return assemble(veff, en.box, N)
-    if renorm == "constant":
-        return assemble(en.xi * beta, en.box, N, shift=beta**2 * en.c_subtracted)
-    raise ContractError(f"unknown renorm mode {renorm!r}")
+def operator_from_noise(en: EnhancedNoise, N, beta: float = 1.0) -> GalerkinOperator:
+    """Operator Laplacian + beta xi - beta^2 E, renormalized by the full
+    x-dependent expectation field E of the enhanced noise."""
+    n = (max(en.xi.trunc[0], en.expectation.trunc[0]),
+         max(en.xi.trunc[1], en.expectation.trunc[1]))
+    veff = en.xi.pad_to(n) * beta - en.expectation.pad_to(n) * beta**2
+    return assemble(veff, en.box, N)
 
 
 def eigenvalues(op, n: int, vectors: bool = False, tol: float = 1e-9,
@@ -343,94 +331,4 @@ def ims_partition(r: float, a: float) -> IMSPartition:
     t = np.linspace(-a, r + a, 4001)
     K = float(a * np.abs(part.eta_1d_deriv(t)).max())
     return IMSPartition(r, a, K)
-
-
-# -- box comparison checker -------------------------------------------------
-
-def box_bounds_check(L: float, r: float, a: float, eps: float, seeds,
-                     nu_trunc: int = 8, n_lower: int | None = None,
-                     slack: float = 1e-4, tau=None) -> dict:
-    """Per-draw verification of the eigenvalue comparison inequalities.
-
-    A parent noise lives on [0, 3L]^2 with the study box Q_L centred, so
-    every overlapping tile r k + [-a, r]^2 stays inside the parent.  For
-    each draw (one seed each) the checker verifies, at Galerkin tolerance:
-
-      (upper-a)  lambda(Q_L, V)       <= lambda(Q_L, V - Phi) + max Phi + slack
-      (upper-b)  lambda(Q_L, V - Phi) <= max_tiles lambda(tile, V) + slack
-      (lower)    lambda_n(Q_L, V)     >= min_disjoint lambda(tile_i, V) - slack
-      (mono)     lambda_k(subbox, V)  <= lambda_k(Q_L, V), k = 1..n
-
-    V is the same mollified parent noise restricted to every box, so the
-    comparisons are pathwise.
-    """
-    from .noise import INDICATOR, sample
-
-    tau = tau or INDICATOR
-    parent = BoxDomain.square(3 * L)
-    off = (L, L)
-    study = BoxDomain(off, (L, L))
-    n_cells = int(math.floor(L / r + 1e-9))
-    if n_lower is None:
-        n_lower = n_cells * n_cells
-    N_L = _pair(int(np.ceil(nu_trunc * L)))
-    report = {k: 0 for k in ("upper_a", "upper_b", "lower", "mono")}
-    report["draws"] = 0
-    rows = []
-
-    ims = ims_partition(r, a)
-    kmax = int(math.floor(L / r + 1.0 - 1e-9))  # |k|_inf < L/r + 1
-    tiles = []
-    for k1 in range(0, kmax + 1):
-        for k2 in range(0, kmax + 1):
-            o = (off[0] + r * k1 - a, off[1] + r * k2 - a)
-            tiles.append(BoxDomain(o, (r + a, r + a)))
-    disjoint = []
-    for k1 in range(n_cells):
-        for k2 in range(n_cells):
-            disjoint.append(BoxDomain((off[0] + r * k1, off[1] + r * k2), (r, r)))
-    disjoint = disjoint[:n_lower]
-
-    for seed in seeds:
-        t0 = time.perf_counter()
-        draw = sample(parent, _pair(int(np.ceil(nu_trunc * 3 * L))), seed)
-        pot = restrict(draw, eps, study, (2 * N_L[0], 2 * N_L[1]), tau)
-        op = assemble(pot, study, N_L)
-        lam_parent = eigenvalues(op, max(4, n_lower), tol=1e-8, seed=seed).values
-
-        M = op._grid_M
-        phi = ims.phi_grid(study, M)
-        vg = potential_on_grid(pot, study, M)
-        op_pen = assemble(vg - phi, study, N_L, grid_M=M)
-        lam_pen = eigenvalues(op_pen, 1, tol=1e-8, seed=seed).values[0]
-
-        def top(boxes, side, n=1):
-            """Top n eigenvalues on each of the boxes of the given side
-            length, solved as one stack."""
-            Nt = _pair(int(np.ceil(nu_trunc * side)))
-            ops = [assemble(restrict(draw, eps, t, (2 * Nt[0], 2 * Nt[1]), tau),
-                            t, Nt) for t in boxes]
-            return [r.values for r in eigenvalues(ops, n, tol=1e-8, seed=seed)]
-
-        tile_vals = [v[0] for v in top(tiles, r + a)]
-        dis_vals = [v[0] for v in top(disjoint, r)]
-        lam_sub = top(disjoint[:1], r, 2)[0]
-
-        report["draws"] += 1
-        if not lam_parent[0] <= lam_pen + float(phi.max()) + slack:
-            report["upper_a"] += 1
-        if not lam_pen <= max(tile_vals) + slack:
-            report["upper_b"] += 1
-        if not lam_parent[n_lower - 1] >= min(dis_vals) - slack:
-            report["lower"] += 1
-        if not all(lam_sub[i] <= lam_parent[i] + slack for i in range(2)):
-            report["mono"] += 1
-        rows.append({
-            "seed": seed, "lam1": lam_parent[0], "lam_pen": lam_pen,
-            "max_tile": max(tile_vals), "min_disjoint": min(dis_vals),
-            "lam_sub1": lam_sub[0], "wall_ms": (time.perf_counter() - t0) * 1e3,
-        })
-    report["rows"] = rows
-    report["phi_max_over_a2"] = float(ims.K**2 * 2 / a**2)
-    return report
 

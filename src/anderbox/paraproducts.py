@@ -1,5 +1,4 @@
-"""Bony decomposition of products, the three-term commutator, and the
-renormalised product of a function with an enhanced noise.
+"""Bony decomposition of products into low, resonant and high parts.
 
 All block products are computed on a grid padded to hold the sum of the
 two band limits, so the decomposition identity lo + reso + hi = u * v is
@@ -13,13 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .calculus import (
-    DyadicPartition,
-    frequency_radii,
-    levels_for,
-    make_partition,
-    resolvent,
-)
+from .calculus import DyadicPartition, apply_block, levels_for, make_partition
 from .errors import ContractError
 from .geometry import (
     GridField,
@@ -67,13 +60,7 @@ def plain_product(u: SpectralField, v: SpectralField) -> SpectralField:
 
 def _block_grids(f: SpectralField, P: DyadicPartition, J: int, M):
     """Grid samples of Delta_j f for j = -1..J (list indexed by j + 1)."""
-    rad = frequency_radii(f.box, f.coeffs.shape)
-    out = []
-    for j in range(-1, J + 1):
-        w = P.rho(j, rad)
-        blk = SpectralField(f.box, f.parity, f.coeffs * w)
-        out.append(inverse_transform(blk, M).samples)
-    return out
+    return [inverse_transform(apply_block(f, j, P), M).samples for j in range(-1, J + 1)]
 
 
 def bony_split(u: SpectralField, v: SpectralField,
@@ -123,42 +110,6 @@ def bony_split(u: SpectralField, v: SpectralField,
     )
 
 
-def para_lo(u, v, P=None):
-    """u <| v (u carries the low frequencies)."""
-    return bony_split(u, v, P).lo
-
-
 def resonance(u, v, P=None):
     return bony_split(u, v, P).reso
 
-
-def commutator(f: SpectralField, g: SpectralField, h: SpectralField,
-               P: DyadicPartition | None = None) -> SpectralField:
-    """Three-term commutator (f <| g) o h - f (g o h)."""
-    fg = para_lo(f, g, P)
-    goh = resonance(g, h, P)
-    return resonance(fg, h, P) - plain_product(f, goh)
-
-
-def enhanced_product(f: SpectralField, noise, P: DyadicPartition | None = None) -> SpectralField:
-    """Renormalised product of a Dirichlet function with an enhanced noise
-    (xi, Xi):
-
-        f <| xi + (f - f <| sD xi) o xi + comm(f, sD xi, xi) + f Xi + f |> xi
-
-    where sD is the resolvent (1 - Laplacian)^{-1}.  For a smooth pair with
-    Xi = xi o sD xi this collapses to the plain product f * xi.
-    """
-    xi, Xi = noise.xi, noise.Xi
-    if f.box != xi.box:
-        raise ContractError("enhanced_product: box mismatch")
-    sxi = resolvent(xi)
-    split_f_xi = bony_split(f, xi, P)
-    f_sharp = f - para_lo(f, sxi, P)
-    return (
-        split_f_xi.lo
-        + resonance(f_sharp, xi, P)
-        + commutator(f, sxi, xi, P)
-        + plain_product(f, Xi)
-        + split_f_xi.hi
-    )

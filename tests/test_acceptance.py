@@ -12,6 +12,7 @@ import time
 import numpy as np
 from anderbox.experiments import (
     ExperimentConfig,
+    box_bounds_study,
     chi_estimate,
     growth_study,
     scaling_law_test,
@@ -22,7 +23,7 @@ from anderbox.geometry import (
     BoxDomain,
     SpectralField,
 )
-from anderbox.hamiltonian import assemble, box_bounds_check, eigenvalues, ims_partition
+from anderbox.hamiltonian import assemble, eigenvalues, ims_partition
 from anderbox.noise import (
     INDICATOR,
     SMOOTH,
@@ -167,8 +168,9 @@ class TestAcceptance:
                             np.pad(rng.standard_normal((8, 8)), ((1, 0), (1, 0))))
         res = ims_fd_residual(psi, ims_partition(2.0, 0.5), k=(1, 0))
 
-        rep = box_bounds_check(L=4.0, r=2.0, a=1.0, eps=0.25,
-                               seeds=range(200), nu_trunc=8, slack=1e-4)
+        rep = box_bounds_study(ExperimentConfig(L=4.0, r=2.0, a_overlap=1.0, eps=0.25,
+                                                replicas=200, seed=0, nu=8,
+                                                slack=1e-4)).summary
         violations = sum(rep[k] for k in ("upper_a", "upper_b", "lower", "mono"))
         t = time.perf_counter() - t0
         ok = (sum_err <= 1e-12 and res <= 1e-6 and violations == 0
@@ -202,7 +204,9 @@ class TestAcceptance:
                 f"ascent not monotone at L={L}"
         ladder_vals = [res["per_L"][L] for L in (16.0, 32.0, 48.0)]
         assert all(b >= a - 1e-9 for a, b in zip(ladder_vals, ladder_vals[1:]))
+        t_oracle = time.perf_counter()
         _, _, chi_oracle = shooting_ground_state()
+        t_oracle = time.perf_counter() - t_oracle
         rel = abs(res["chi"] - chi_oracle) / chi_oracle
         t_chi = time.perf_counter() - t0
 
@@ -219,7 +223,8 @@ class TestAcceptance:
         ok = rel <= 0.01 and t_chi < 120.0 and mono == 0 and zgap > 3.0
         assert report(8, "chi cross-validation + growth properties", ok, t,
                       f"chi {res['chi']:.5f} vs {chi_oracle:.5f} "
-                      f"(rel {rel:.2%}, {t_chi:.0f}s), mono {mono}, z {zgap:.1f}")
+                      f"(rel {rel:.2%}, {t_chi:.0f}s), mono {mono}, z {zgap:.1f}, "
+                      f"program {t - t_oracle:.1f}s, oracle {t_oracle:.1f}s")
 
     def test_09_b_coefficients(self):
         t0 = time.perf_counter()

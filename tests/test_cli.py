@@ -134,6 +134,30 @@ class TestCLI:
         assert len(rows) == 2
         assert all(float(r.split(",")[6]) > 0 for r in rows)
 
+    def test_box_bounds_runs_beta_and_records_the_cutoff(self, tmp_path, capsys):
+        from anderbox.geometry import BoxDomain
+        from anderbox.noise import INDICATOR, restrict, sample
+
+        def lam1(beta):
+            out = tmp_path / f"beta{beta}"
+            assert main(["box-bounds", "--out", str(out), "--seed", "1",
+                         "--set", "L=2.0", "--set", "r=1.0", "--set", "a_overlap=0.5",
+                         "--set", "replicas=1", "--set", "nu=8",
+                         "--set", f"beta={beta}"]) == 0
+            cfg = json.loads((out / "box_bounds_manifest.json").read_text())["config"]
+            assert cfg["profile"] == "indicator"
+            return float((out / "box_bounds.csv").read_text().splitlines()[1].split(",")[5])
+
+        # the study box Q_2 centred in the parent [0, 6]^2, 16 modes per axis
+        study = BoxDomain((2.0, 2.0), (2.0, 2.0))
+        pot = restrict(sample(BoxDomain.square(6.0), 48, 1), 0.25, study, 32, INDICATOR)
+        direct = hamiltonian.eigenvalues(hamiltonian.assemble(pot * 2.0, study, 16), 1,
+                                         tol=1e-10).values[0]
+        lam_2 = lam1(2)
+        assert lam_2 != lam1(1)
+        assert abs(lam_2 - direct) <= 1e-8
+        assert "profile 'smooth' -> 'indicator'" in capsys.readouterr().err
+
     def test_renorm_slope_column(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["renorm", "--out", str(out), "--set", "L=1.0"])
@@ -182,6 +206,18 @@ class TestCLI:
         monkeypatch.setattr(hamiltonian, "lobpcg_top", off)
         assert main(["selftest"]) == 1
         assert "FAIL  LOBPCG matches eigvalsh at dim 64" in capsys.readouterr().out
+
+    def test_selftest_isolates_a_raising_check(self, capsys, monkeypatch):
+        def raising(*args, **kw):
+            raise RuntimeError("solver down")
+
+        monkeypatch.setattr(hamiltonian, "eigenvalues", raising)
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  zero-potential spectrum: RuntimeError" in out
+        # the checks after the raising ones still run and pass
+        assert "PASS  squared partition sums to 1" in out
+        assert "10/13 checks passed" in out
 
     @pytest.mark.parametrize("command,extra", [
         ("scaling-test", ["--set", "L=2.0", "--set", "eps=0.5",

@@ -16,14 +16,20 @@ from anderbox.geometry import (
 from anderbox.hamiltonian import (
     TRANSFORM_BLOCK,
     assemble,
-    box_bounds_check,
     eigenvalues,
     ims_partition,
     operator_from_noise,
     potential_on_grid,
     stack,
 )
-from anderbox.experiments import StudyRecord, _ascent_grid, _normalized_grid, _start_bump
+from anderbox.experiments import (
+    ExperimentConfig,
+    StudyRecord,
+    _ascent_grid,
+    _normalized_grid,
+    _start_bump,
+    box_bounds_study,
+)
 from anderbox.noise import INDICATOR, SMOOTH, enhance, mollify, restrict, sample
 from anderbox import hamiltonian, solvers
 from anderbox.solvers import lobpcg_top
@@ -548,8 +554,8 @@ class TestBoxBounds:
         assert lam <= lam_pen + phi.max() + 1e-9
 
     def test_coupled_noise_draws(self):
-        rep = box_bounds_check(L=2.0, r=1.0, a=0.5, eps=0.25,
-                               seeds=range(5), nu_trunc=8, slack=1e-6)
+        rep = box_bounds_study(ExperimentConfig(L=2.0, r=1.0, a_overlap=0.5, eps=0.25,
+                                                replicas=5, seed=0, nu=8, slack=1e-6)).summary
         assert rep["draws"] == 5
         for key in ("upper_a", "upper_b", "lower", "mono"):
             assert rep[key] == 0
@@ -559,13 +565,13 @@ class TestNoiseOperator:
     def test_renorm_modes_differ_by_field_vs_constant(self):
         draw = sample(BOX, 16, 17)
         en = enhance(draw, 0.3, SMOOTH)
-        of = operator_from_noise(en, 10, renorm="field")
-        oc = operator_from_noise(en, 10, renorm="constant")
+        # the field renormalization against subtracting only the lattice
+        # constant c_{eps,L}
+        of = operator_from_noise(en, 10)
+        oc = assemble(en.xi, BOX, 10, shift=en.c_subtracted)
         vf = eigenvalues(of, 1).values[0]
         vc = eigenvalues(oc, 1).values[0]
         assert vf != pytest.approx(vc, abs=1e-6)  # the x-dependent layer matters
-        with pytest.raises(ContractError):
-            operator_from_noise(en, 10, renorm="bogus")
 
     def test_translation_invariance_in_law(self):
         # eigenvalue samples from two disjoint offsets of the same parent

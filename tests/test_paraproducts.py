@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anderbox.calculus import apply_block, levels_for, make_partition, resolvent
+from anderbox.calculus import apply_block, levels_for, make_partition
 from anderbox.errors import ContractError
 from anderbox.geometry import (
     DIRICHLET,
@@ -12,14 +12,7 @@ from anderbox.geometry import (
     SpectralField,
     nu,
 )
-from anderbox.noise import EnhancedNoise, SMOOTH
-from anderbox.paraproducts import (
-    bony_split,
-    commutator,
-    enhanced_product,
-    plain_product,
-    resonance,
-)
+from anderbox.paraproducts import bony_split, plain_product, resonance
 
 from oracles import bony_ratio_report, direct_paraproduct_sums, holder_norm, sobolev_norm
 
@@ -138,90 +131,6 @@ class TestBonySplit:
         x = neumann_field(4, seed=12, box=BoxDomain.square(2.0))
         with pytest.raises(ContractError):
             bony_split(f, x)
-
-
-class TestCommutator:
-    def test_zero_middle(self):
-        f = dirichlet_field(6, seed=13)
-        g = SpectralField.zeros(BOX, NEUMANN, 6)
-        h = neumann_field(6, seed=14)
-        out = commutator(f, g, h)
-        assert np.abs(out.coeffs).max() == 0.0
-
-    def test_constant_first_argument(self):
-        # comm(1, g, h) = (1 <| g) o h - (g o h); with the disjoint split,
-        # 1 <| g = g - block(-1) g - block(0) g
-        one = SpectralField.zeros(BOX, NEUMANN, 4)
-        one.coeffs[0, 0] = 1.0
-        g = neumann_field(6, seed=15)
-        h = neumann_field(6, seed=16)
-        P = make_partition(max(levels_for(g), levels_for(h)) + 1)
-        out = commutator(one, g, h, P)
-        low = apply_block(g, -1, P) + apply_block(g, 0, P)
-        expect = resonance(g - low, h, P) - plain_product(one, resonance(g, h, P))
-        n = (max(out.trunc[0], expect.trunc[0]), max(out.trunc[1], expect.trunc[1]))
-        assert np.abs(out.pad_to(n).coeffs - expect.pad_to(n).coeffs).max() < 1e-10
-
-    def test_reproducible_against_direct_expansion(self):
-        f = dirichlet_field(4, seed=17)
-        g = neumann_field(4, seed=18)
-        h = neumann_field(4, seed=19)
-        J = max(levels_for(f), levels_for(g), levels_for(h)) + 2
-        P = make_partition(J)
-        out = commutator(f, g, h, P)
-        lo_fg, _, _ = direct_paraproduct_sums(f, g, P, J)
-        _, reso1, _ = direct_paraproduct_sums(lo_fg, h, P, J)
-        _, reso2, _ = direct_paraproduct_sums(g, h, P, J)
-        expect = reso1 - plain_product(f, reso2)
-        n = (max(out.trunc[0], expect.trunc[0]), max(out.trunc[1], expect.trunc[1]))
-        assert np.abs(out.pad_to(n).coeffs - expect.pad_to(n).coeffs).max() < 1e-10
-        assert np.isfinite(sobolev_norm(out, 1.0))
-
-
-class TestEnhancedProduct:
-    def test_zero_noise(self):
-        f = dirichlet_field(6, seed=20)
-        noise = EnhancedNoise(
-            xi=SpectralField.zeros(BOX, NEUMANN, 6),
-            Xi=SpectralField.zeros(BOX, NEUMANN, 6),
-            epsilon=0.1, c_subtracted=0.0, profile=SMOOTH,
-        )
-        out = enhanced_product(f, noise)
-        assert np.abs(out.coeffs).max() == 0.0
-
-    def test_smooth_pair_collapses_to_plain_product(self):
-        # with Xi := zeta o resolvent(zeta) (no recentring) the five-term
-        # sum telescopes to the plain product f * zeta
-        f = dirichlet_field(8, seed=21)
-        zeta = neumann_field(8, seed=22)
-        Xi = resonance(zeta, resolvent(zeta))
-        noise = EnhancedNoise(xi=zeta, Xi=Xi, epsilon=0.1,
-                              c_subtracted=0.0, profile=SMOOTH)
-        out = enhanced_product(f, noise)
-        expect = plain_product(f, zeta)
-        n = (max(out.trunc[0], expect.trunc[0]), max(out.trunc[1], expect.trunc[1]))
-        assert np.abs(out.pad_to(n).coeffs - expect.pad_to(n).coeffs).max() < 1e-9
-
-    def test_linear_in_f(self):
-        f1 = dirichlet_field(6, seed=23)
-        f2 = dirichlet_field(6, seed=24)
-        zeta = neumann_field(6, seed=25)
-        noise = EnhancedNoise(xi=zeta, Xi=resonance(zeta, resolvent(zeta)),
-                              epsilon=0.1, c_subtracted=0.0, profile=SMOOTH)
-        lhs = enhanced_product(f1 + f2, noise)
-        rhs = enhanced_product(f1, noise) + enhanced_product(f2, noise)
-        assert np.abs((lhs - rhs).coeffs).max() < 1e-12
-
-    def test_box_mismatch(self):
-        f = dirichlet_field(4, seed=26)
-        other = BoxDomain.square(3.0)
-        noise = EnhancedNoise(
-            xi=SpectralField.zeros(other, NEUMANN, 4),
-            Xi=SpectralField.zeros(other, NEUMANN, 4),
-            epsilon=0.1, c_subtracted=0.0, profile=SMOOTH,
-        )
-        with pytest.raises(ContractError):
-            enhanced_product(f, noise)
 
 
 class TestBonyRatios:
