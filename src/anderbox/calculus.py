@@ -1,5 +1,5 @@
 """Dyadic frequency analysis: partition of unity, Littlewood-Paley blocks,
-Fourier multipliers, Laplacian/resolvent.
+Fourier multipliers, the resolvent.
 
 Frequencies on a box with sides (s1, s2) are the per-axis rescaled indices
 (k1/s1, k2/s2); every multiplier below acts coefficient-wise on those.
@@ -96,10 +96,6 @@ def multiplier(u: SpectralField, sigma) -> SpectralField:
     if not np.all(np.isfinite(w)):
         raise ValueError("multiplier symbol produced non-finite values")
     return SpectralField(u.box, u.parity, u.coeffs * w)
-
-
-def laplacian(u: SpectralField) -> SpectralField:
-    return multiplier(u, lambda x1, x2: -np.pi**2 * (x1**2 + x2**2))
 
 
 def resolvent(u: SpectralField, a: float = 1.0) -> SpectralField:

@@ -132,7 +132,7 @@ def _cmd_spectrum(cfg: ExperimentConfig) -> int:
         draw = sample(box, (max(band[0], 1), max(band[1], 1)), cfg.seed)
         en = enhance(draw, cfg.eps, cfg.cutoff())
         op = operator_from_noise(en, N, beta=cfg.beta)
-    vals = eigenvalues(op, cfg.n_eigs, tol=1e-9, seed=cfg.seed).values
+    vals = eigenvalues([op], cfg.n_eigs, tol=1e-9, seed=cfg.seed).values[0]
     wall = (time.perf_counter() - t0) * 1e3
     for n, lam in enumerate(vals, start=1):
         rec.add(cfg.L, cfg.eps, cfg.beta, cfg.seed, n, lam, wall)

@@ -21,8 +21,6 @@ def _parse_value(key: str, raw: str, lineno: int, path: str):
             return tuple(float(x) for x in raw.replace(",", " ").split())
         tmpl = ExperimentConfig()
         cur = getattr(tmpl, key)
-        if isinstance(cur, bool):
-            return raw.lower() in ("1", "true", "yes")
         if isinstance(cur, int):
             return int(raw)
         if isinstance(cur, float):

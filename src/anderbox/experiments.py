@@ -150,39 +150,39 @@ def _map_seeds(fn, args, seeds, workers: int) -> list:
     return [r for group in results for r in group]
 
 
+def _restricted_top(cfg: ExperimentConfig, draws, seeds, boxes, n: int):
+    """Top n eigenvalues of beta times each parent draw restricted (with
+    the indicator cutoff, 2N modes) to each of the same-side ``boxes``,
+    solved as one stack with every problem seeded by its draw's seed:
+    the values (draws, boxes, n) and the operators, draw-major."""
+    N = cfg.trunc(boxes[0].sides[0])
+    ops = [assemble(restrict(d, cfg.eps, b, 2 * N, INDICATOR) * cfg.beta, b, N)
+           for d in draws for b in boxes]
+    vals = eigenvalues(ops, n, tol=1e-8, seed=np.repeat(seeds, len(boxes))).values
+    return vals.reshape(len(draws), len(boxes), n), ops
+
+
 # -- growth in the box size -------------------------------------------------
 
 def _growth_group(task):
-    """Every rung of the ladder for a group of seeds: each seed's parent
-    draw is restricted to all rungs first, then each rung is one stacked
-    solve.  Returns per seed the (L, seed, values, wall ms) of each rung,
+    """Every rung of the ladder for a group of seeds, each rung one
+    ``_restricted_top`` stack of the seeds' parent draws on the centred
+    sub-box.  Returns per seed the (L, seed, values, wall ms) of each rung,
     where a rung's wall time (restriction, assembly and solve) is shared
     evenly by the group."""
-    cfg_d, seeds = task
-    cfg = ExperimentConfig(**cfg_d)
-    tau = INDICATOR  # exact restriction calculus for the coupled ladder
+    cfg, seeds = task
     Lmax = cfg.L_ladder[-1]
     parent = BoxDomain.square(Lmax)
-    boxes = {L: BoxDomain(((Lmax - L) / 2.0, (Lmax - L) / 2.0), (L, L))
-             for L in cfg.L_ladder}
-    pots = {L: [None] * len(seeds) for L in cfg.L_ladder}
-    wall = dict.fromkeys(cfg.L_ladder, 0.0)
-    if cfg.beta != 0.0:
-        n_par = max(mollified_band(parent, cfg.eps, tau)[0], 1)
-        for i, seed in enumerate(seeds):
-            draw = sample(parent, n_par, seed)
-            for L in cfg.L_ladder:
-                t0 = time.perf_counter()
-                pots[L][i] = restrict(draw, cfg.eps, boxes[L], 2 * cfg.trunc(L), tau) * cfg.beta
-                wall[L] += time.perf_counter() - t0
+    n_par = max(mollified_band(parent, cfg.eps, INDICATOR)[0], 1)
+    draws = [sample(parent, n_par, s) for s in seeds]
     out = [[] for _ in seeds]
     for L in cfg.L_ladder:
         t0 = time.perf_counter()
-        ops = [assemble(p, boxes[L], cfg.trunc(L)) for p in pots[L]]
-        res = eigenvalues(ops, cfg.n_eigs, tol=1e-8, seed=seeds)
-        ms = (wall[L] + time.perf_counter() - t0) * 1e3 / len(seeds)
-        for row, seed, r in zip(out, seeds, res):
-            row.append((L, seed, r.values, ms))
+        box = BoxDomain(((Lmax - L) / 2.0, (Lmax - L) / 2.0), (L, L))
+        vals = _restricted_top(cfg, draws, seeds, [box], cfg.n_eigs)[0][:, 0]
+        ms = (time.perf_counter() - t0) * 1e3 / len(seeds)
+        for row, seed, v in zip(out, seeds, vals):
+            row.append((L, seed, v, ms))
     return out
 
 
@@ -202,7 +202,7 @@ def growth_study(cfg: ExperimentConfig) -> StudyRecord:
     c_eps = (TWO_PI_INV * math.log(1.0 / cfg.eps) + profile_constant(INDICATOR)
              ) * cfg.beta**2
     seeds = [cfg.seed + i for i in range(cfg.replicas)]
-    results = _map_seeds(_growth_group, asdict(cfg), seeds, cfg.workers)
+    results = _map_seeds(_growth_group, cfg, seeds, cfg.workers)
     violations = 0
     for per_seed in results:
         prev = None
@@ -255,40 +255,25 @@ def _box_bounds_group(task):
     solve over the group, every problem seeded by its draw's seed.  Returns
     per seed (lambda(Q_L, V), the ``BOUNDS`` violation flags, wall ms), the
     group's wall time shared evenly."""
-    cfg_d, seeds = task
-    cfg = ExperimentConfig(**cfg_d)
-    L, r, a = cfg.L, cfg.r, cfg.a_overlap
+    (cfg, tiles, disjoint), seeds = task
+    L = cfg.L
     t0 = time.perf_counter()
     n_par = int(math.ceil(cfg.nu * 3 * L))
     draws = [sample(BoxDomain.square(3 * L), n_par, s) for s in seeds]
 
-    def ops_on(boxes):
-        N = cfg.trunc(boxes[0].sides[0])
-        return [assemble(restrict(d, cfg.eps, b, 2 * N, INDICATOR) * cfg.beta, b, N)
-                for d in draws for b in boxes]
-
-    def top(ops, n):
-        """Top n eigenvalues of each draw's problems, (draws, boxes, n)."""
-        res = eigenvalues(ops, n, tol=1e-8, seed=np.repeat(seeds, len(ops) // len(seeds)))
-        return np.array([x.values for x in res]).reshape(len(seeds), -1, n)
-
-    n_cells = int(math.floor(L / r + 1e-9))
-    kmax = int(math.floor(L / r + 1.0 - 1e-9))  # |k|_inf < L/r + 1
-    tiles = [BoxDomain((L + r * k1 - a, L + r * k2 - a), (r + a, r + a))
-             for k1 in range(kmax + 1) for k2 in range(kmax + 1)]
-    disjoint = [BoxDomain((L + r * k1, L + r * k2), (r, r))
-                for k1 in range(n_cells) for k2 in range(n_cells)]
+    def top(boxes, n):
+        return _restricted_top(cfg, draws, seeds, boxes, n)[0]
 
     study = BoxDomain((L, L), (L, L))
-    ops = ops_on([study])
-    lam = top(ops, max(4, len(disjoint)))[:, 0]
+    vals, ops = _restricted_top(cfg, draws, seeds, [study], max(4, len(disjoint)))
+    lam = vals[:, 0]
     M = ops[0]._grid_M
-    phi = ims_partition(r, a).phi_grid(study, M)
-    lam_pen = top([assemble(op._v_grid[0] - phi, study, ops[0].trunc, grid_M=M)
-                   for op in ops], 1)[:, 0, 0]
-    tile_max = top(ops_on(tiles), 1)[:, :, 0].max(axis=1)
-    dis_min = top(ops_on(disjoint), 1)[:, :, 0].min(axis=1)
-    lam_sub = top(ops_on(disjoint[:1]), 2)[:, 0]
+    phi = ims_partition(cfg.r, cfg.a_overlap).phi_grid(study, M)
+    lam_pen = eigenvalues([assemble(op._v_grid[0] - phi, study, ops[0].trunc, grid_M=M)
+                           for op in ops], 1, tol=1e-8, seed=seeds).values[:, 0]
+    tile_max = top(tiles, 1)[:, :, 0].max(axis=1)
+    dis_min = top(disjoint, 1)[:, :, 0].min(axis=1)
+    lam_sub = top(disjoint[:1], 2)[:, 0]
 
     s = cfg.slack
     flags = np.column_stack([
@@ -306,18 +291,31 @@ def box_bounds_study(cfg: ExperimentConfig) -> StudyRecord:
     bounds of ``_box_bounds_group`` on the box Q_L with tiles of side r and
     overlap a: one row per draw with lambda(Q_L, V), and in the summary the
     number of draws that violate each bound.  The restriction always uses
-    the indicator cutoff."""
-    ims = ims_partition(cfg.r, cfg.a_overlap)
+    the indicator cutoff.  The tiles r k + [-a, r]^2, |k|_inf < L/r + 1,
+    must fit in the parent [0, 3L]^2, which needs r <= L."""
+    L, r, a = cfg.L, cfg.r, cfg.a_overlap
+    if not a < r:
+        raise ContractError(f"need a_overlap < r, got a_overlap = {a:g}, r = {r:g}")
+    n_cells = int(math.floor(L / r + 1e-9))
+    kmax = int(math.floor(L / r + 1.0 - 1e-9))  # |k|_inf < L/r + 1
+    tiles = [BoxDomain((L + r * k1 - a, L + r * k2 - a), (r + a, r + a))
+             for k1 in range(kmax + 1) for k2 in range(kmax + 1)]
+    disjoint = [BoxDomain((L + r * k1, L + r * k2), (r, r))
+                for k1 in range(n_cells) for k2 in range(n_cells)]
+    if not BoxDomain.square(3 * L).contains_box(tiles[-1]):
+        raise ContractError(f"overlap tiles at r = {r:g} reach {L + r * (kmax + 1):g}, "
+                            f"past the parent box [0, 3L]^2 at L = {L:g}")
+    ims = ims_partition(r, a)
     rec = StudyRecord(config=asdict(cfg))
     seeds = [cfg.seed + i for i in range(cfg.replicas)]
     counts = np.zeros(len(BOUNDS), dtype=int)
     for seed, (lam1, flags, wall) in zip(
-            seeds, _map_seeds(_box_bounds_group, asdict(cfg), seeds, cfg.workers)):
-        rec.add(cfg.L, cfg.eps, cfg.beta, seed, 1, lam1, wall)
+            seeds, _map_seeds(_box_bounds_group, (cfg, tiles, disjoint), seeds, cfg.workers)):
+        rec.add(L, cfg.eps, cfg.beta, seed, 1, lam1, wall)
         counts += flags
     rec.summary = dict(zip(BOUNDS, counts.tolist()))
     rec.summary["draws"] = len(seeds)
-    rec.summary["phi_max_over_a2"] = float(ims.K**2 * 2 / cfg.a_overlap**2)
+    rec.summary["phi_max_over_a2"] = float(ims.K**2 * 2 / a**2)
     return rec
 
 
@@ -332,9 +330,9 @@ def _mollified_group(task):
     t0 = time.perf_counter()
     ops = [assemble(mollify(sample(box, band, s), eps, tau) * amp, box, N)
            for s in seeds]
-    res = eigenvalues(ops, 1, tol=tol, seed=seeds)
+    vals = eigenvalues(ops, 1, tol=tol, seed=seeds).values[:, 0]
     ms = (time.perf_counter() - t0) * 1e3 / len(seeds)
-    return [(float(r.values[0]), ms) for r in res]
+    return [(float(v), ms) for v in vals]
 
 
 def _mollified_rows(rec: StudyRecord, cfg: ExperimentConfig, seeds, L, eps,
@@ -514,11 +512,11 @@ def _psi_sq_step(V: np.ndarray, box: BoxDomain, N, M, n: int, tol: float,
     """One psi^2 fixed-point step: solve Laplacian + V on the grid M for
     the top n eigenpairs, take the unit-L2 n-th eigenfunction psi.
 
-    Returns (eigen result, |psi|_4^2, |grad psi|_2^2, psi, psi^2 sampled
-    on the grid M)."""
+    Returns (eigen result of the one-problem stack, |psi|_4^2,
+    |grad psi|_2^2, psi, psi^2 sampled on the grid M)."""
     op = assemble(V, box, N, grid_M=M)
-    r = eigenvalues(op, n, vectors=True, tol=tol, v0=v0, seed=seed)
-    psi = op.coeff_field(r.vectors[:, n - 1])
+    r = eigenvalues([op], n, tol=tol, v0=v0, seed=seed)
+    psi = op.coeff_field(r.vectors[0, n - 1])
     psi = psi * (1.0 / psi.l2_norm())
     l4sq, grad, psi_sq = _l4sq_and_grad(psi, M)
     return r, l4sq, grad, psi, psi_sq
@@ -534,7 +532,7 @@ def chi_ascent(box: BoxDomain, N: int, max_iter: int = 200, tol: float = 1e-10,
     of Laplacian + V; the next potential is psi^2 / |psi^2|_2 (the exact
     partial maximizer), so the objective trace is nondecreasing.  Each
     solve warm-starts from the previous eigenvector, the first from ``v0``
-    (operator coefficient layout) when given.
+    (1, 1, dim) when given.
 
     Returns (value, trace, psi field).
     """
@@ -550,7 +548,7 @@ def chi_ascent(box: BoxDomain, N: int, max_iter: int = 200, tol: float = 1e-10,
     psi = None
     for it in range(max_iter):
         r, l4sq, grad, psi, psi_sq = _psi_sq_step(V, box, N, M, 1, 1e-8, vec, seed)
-        vec = r.vectors[:, 0]
+        vec = r.vectors
         val = 4.0 * (l4sq - grad)
         if trace and val < trace[-1] - 1e-9:
             raise ConvergenceError(
@@ -584,7 +582,7 @@ def chi_ascent_refined(box: BoxDomain, N: int, seed: int = 0,
     k0, k1 = min(Nc[0], N[0]), min(Nc[1], N[1])
     v0[:k0, :k1] = psi_c.coeffs[1:k0 + 1, 1:k1 + 1]
     val, trace, psi = chi_ascent(box, N, max_iter=max_iter, tol=tol,
-                                 seed=seed, V0=V0, v0=v0.ravel())
+                                 seed=seed, V0=V0, v0=v0.reshape(1, 1, -1))
     return val, trace, psi
 
 
@@ -630,9 +628,9 @@ def _calibrate_mu(psi_sq: np.ndarray, box: BoxDomain, N, n: int, a: float,
         nonlocal block
         if mu not in seen:
             op = assemble(psi_sq * mu, box, N, grid_M=M)
-            r = eigenvalues(op, n, vectors=True, tol=1e-10, v0=block, seed=seed)
+            r = eigenvalues([op], n, tol=1e-10, v0=block, seed=seed)
             block = r.vectors
-            seen[mu] = float(r.values[n - 1]) - a
+            seen[mu] = float(r.values[0, n - 1]) - a
         return seen[mu]
 
     lo, hi = 0.0, float(mu0)
@@ -701,7 +699,7 @@ def rate_infimum_estimate(L: float, n: int = 1, a: float = 1.0,
     for _ in range(12 + 1):
         r, *_, psi_sq = _psi_sq_step(Vd, box, N, M, n, 1e-10, block, seed)
         block = r.vectors
-        lams.append(float(r.values[n - 1]))
+        lams.append(float(r.values[0, n - 1]))
         if len(lams) > 1 and abs(lams[-1] - lams[-2]) < BALL_STOP:
             break
         Vd = psi_sq * (radius / _grid_norm(psi_sq, box.area))

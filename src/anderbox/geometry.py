@@ -208,14 +208,11 @@ class GridField:
 
     box: BoxDomain
     samples: np.ndarray
-    rule: str = "midpoint"
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 2:
             raise ContractError("samples must be a 2d array")
-        if self.rule != "midpoint":
-            raise ContractError(f"unknown grid rule {self.rule!r}")
 
     @property
     def shape(self) -> tuple[int, int]:

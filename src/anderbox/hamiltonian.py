@@ -24,11 +24,10 @@ import numpy as np
 from scipy import fft as _fft
 
 from .calculus import _bump_ramp
-from .errors import ContractError, ConvergenceError
+from .errors import ContractError
 from .geometry import (
     DIRICHLET,
     BoxDomain,
-    GridField,
     SpectralField,
     _pair,
     _synthesis_axis,
@@ -87,15 +86,12 @@ class GalerkinOperator:
     def dim(self) -> int:
         return self.trunc[0] * self.trunc[1]
 
-    def apply(self, c: np.ndarray, which=None) -> np.ndarray:
-        """A c for one problem's vector (dim,) or block of columns (dim, k),
-        or for a stack's blocks (b, dim, k) of the problems ``which`` (all
-        when None).  Each axis and direction costs one matmul against the
+    def apply(self, rows: np.ndarray, which=None) -> np.ndarray:
+        """A times the row blocks (b, k, dim) of the problems ``which`` (all
+        when None), as row blocks; each row is an (N0, N1) coefficient
+        matrix.  Each axis and direction costs one matmul against the
         cached sine table per group of problems whose grids fit
         ``TRANSFORM_BLOCK``."""
-        C = c if np.ndim(c) == 3 else np.asarray(c).reshape(1, self.dim, -1)
-        # work on rows (b, k, dim): each row is an (N0, N1) coefficient matrix
-        rows = C.swapaxes(1, 2)
         sel = slice(None) if which is None else which
         out = rows * self.diag[sel][:, None, :]
         if self._v_grid is not None:
@@ -111,7 +107,7 @@ class GalerkinOperator:
                 w = (S0.T @ g.reshape(-1, M0, M1)) @ S1
                 # synthesis sqrt(2/s)/2 times analysis sqrt(s/2)/M, per axis
                 out[s:s + step] += w.reshape(-1, k, self.dim) * (0.25 / (M0 * M1))
-        return out.swapaxes(1, 2).reshape(np.shape(c))
+        return out
 
     def coeff_field(self, c: np.ndarray) -> SpectralField:
         # coefficient layout: flattened (k1-1, k2-1) row-major
@@ -140,10 +136,11 @@ def stack(ops) -> GalerkinOperator:
 
 @dataclass
 class EigenResult:
-    values: np.ndarray          # descending
-    vectors: np.ndarray | None  # columns, coefficient layout of the operator
-    n: int
-    residuals: np.ndarray | None = None
+    """Top-n eigenpairs of a stack of B problems."""
+
+    values: np.ndarray     # (B, n), descending
+    vectors: np.ndarray    # (B, n, dim) rows, coefficient layout of the operator
+    residuals: np.ndarray  # (B, n) true residuals |A v - lambda v|
 
 
 def _potential_band(potential) -> tuple[int, int]:
@@ -174,14 +171,6 @@ def potential_on_grid(potential, box: BoxDomain, M) -> np.ndarray:
             raise ContractError("potential lives on a different box")
         g = _synthesis_axis(potential.coeffs, potential.parity[0], box.sides[0], M[0], 0)
         return _synthesis_axis(g, potential.parity[1], box.sides[1], M[1], 1)
-    if isinstance(potential, GridField):
-        if potential.box != box:
-            raise ContractError("potential lives on a different box")
-        if potential.shape != tuple(M):
-            raise ContractError(
-                f"grid potential must be sampled on the operator grid {tuple(M)}"
-            )
-        return potential.samples
     arr = np.asarray(potential, dtype=float)
     if arr.ndim == 0:
         return np.full(M, float(arr))
@@ -190,13 +179,12 @@ def potential_on_grid(potential, box: BoxDomain, M) -> np.ndarray:
     return arr
 
 
-def assemble(potential, box: BoxDomain, N, shift: float = 0.0,
-             grid_M=None) -> GalerkinOperator:
+def assemble(potential, box: BoxDomain, N, grid_M=None) -> GalerkinOperator:
     """Galerkin operator A[k,l] = -pi^2 |k/s|^2 delta_kl + <V d_l, d_k>
-    - shift delta_kl on the Dirichlet modes.
+    on the Dirichlet modes.
 
-    ``potential`` may be a SpectralField (any parity; typically Neumann), a
-    GridField / array sampled on the operator grid, a scalar, or None.
+    ``potential`` may be a SpectralField (any parity; typically Neumann), an
+    array sampled on the operator grid, a scalar, or None.
     """
     N = _pair(N)
     if N[0] < 1 or N[1] < 1:
@@ -205,7 +193,7 @@ def assemble(potential, box: BoxDomain, N, shift: float = 0.0,
          else _operator_grid(N, _potential_band(potential)))
     if M[0] < N[0] + 1 or M[1] < N[1] + 1:
         raise ContractError(f"quadrature grid {M} cannot hold the modes 1..{N}")
-    diag = _laplacian_diag(box, N) - shift
+    diag = _laplacian_diag(box, N)
 
     v_grid = None
     if potential is not None:
@@ -225,16 +213,13 @@ def operator_from_noise(en: EnhancedNoise, N, beta: float = 1.0) -> GalerkinOper
     return assemble(veff, en.box, N)
 
 
-def eigenvalues(op, n: int, vectors: bool = False, tol: float = 1e-9,
-                v0: np.ndarray | None = None, seed=0):
-    """Top-n eigenvalues (descending, multiplicities kept adjacent), with
-    the true residuals of the returned pairs.
-
-    An operator, or a list of them (one EigenResult each), goes to LOBPCG
-    as one stack (see ``stack``), with ``seed`` an int or one per operator,
-    warm-started from ``v0`` (one vector or up to n columns, or
-    (B, dim, m)) and accepted at ``tol``.
-    Its ConvergenceError carries the residuals, (B, n) for a list.
+def eigenvalues(ops, n: int, tol: float = 1e-9, v0: np.ndarray | None = None,
+                seed=0) -> EigenResult:
+    """Top-n eigenpairs (descending, multiplicities kept adjacent) of the
+    list ``ops``, solved by LOBPCG as one stack (see ``stack``): values
+    and true residuals (B, n), vectors (B, n, dim) as rows.  ``seed`` is
+    an int or one per operator, ``v0`` (B, m, dim) warm-starts the blocks
+    and ``tol`` accepts the residuals; a ConvergenceError carries them.
 
     The preconditioner is 1 / (max diag - diag + delta) on the Laplacian
     diagonal, with delta = min(3 pi^2 / max(side)^2, |V|_inf + 1) per
@@ -243,25 +228,14 @@ def eigenvalues(op, n: int, vectors: bool = False, tol: float = 1e-9,
     gap on large boxes, T is nearly constant over the low modes where the
     wanted vectors live, and LOBPCG runs almost unpreconditioned.
     """
-    many = isinstance(op, (list, tuple))
-    ops = list(op) if many else [op]
     if n < 1 or n > ops[0].dim:
         raise ContractError(f"requested {n} eigenvalues of a dim-{ops[0].dim} operator")
     st = stack(ops)
     v_max = 0.0 if st._v_grid is None else np.abs(st._v_grid).max(axis=(1, 2))[:, None]
     shift = np.minimum(3.0 * np.pi**2 / max(st.box.sides) ** 2, v_max + 1.0)
     precond = 1.0 / (-st.diag + st.diag.max(axis=1, keepdims=True) + shift)
-    if v0 is not None:
-        v0 = np.reshape(v0, (len(ops), st.dim, -1))
-    try:
-        vals, vecs, res = lobpcg_top(st.apply, n, precond, v0=v0, tol=tol,
-                                     seed=np.broadcast_to(seed, len(ops)))
-    except ConvergenceError as exc:
-        exc.residuals = exc.residuals if many else exc.residuals[0]
-        raise
-    out = [EigenResult(vals[i], vecs[i] if vectors else None, n, res[i])
-           for i in range(len(ops))]
-    return out if many else out[0]
+    return EigenResult(*lobpcg_top(st.apply, n, precond, v0=v0, tol=tol,
+                                   seed=np.broadcast_to(seed, len(ops))))
 
 
 # -- IMS partition ---------------------------------------------------------

@@ -76,16 +76,16 @@ def run(verbose: bool = True) -> int:
 
     @check("zero-potential spectrum")
     def _():
-        r = eigenvalues(assemble(None, box, 16), 3, tol=1e-9)
+        r = eigenvalues([assemble(None, box, 16)], 3, tol=1e-9)
         exact = np.array([-2, -5, -5]) * np.pi**2
-        return np.abs(r.values - exact).max() < 1e-8 and r.residuals.max() <= 1e-9
+        return np.abs(r.values[0] - exact).max() < 1e-8 and r.residuals.max() <= 1e-9
 
     @check("LOBPCG matches eigvalsh at dim 64")
     def _():
         op = assemble(SpectralField(box, NEUMANN, rng.standard_normal((7, 7))), box, 8)
-        r, ref = eigenvalues(op, 4, vectors=True), np.linalg.eigvalsh(op.apply(np.eye(64)))[::-1]
-        res = np.linalg.norm(op.apply(r.vectors) - r.vectors * r.values, axis=0)
-        return np.abs(r.values - ref[:4]).max() < 1e-9 and res.max() <= 1e-9
+        r, ref = eigenvalues([op], 4), np.linalg.eigvalsh(op.apply(np.eye(64)[None])[0])[::-1]
+        res = np.linalg.norm(op.apply(r.vectors) - r.values[:, :, None] * r.vectors, axis=2)
+        return np.abs(r.values[0] - ref[:4]).max() < 1e-9 and res.max() <= 1e-9
 
     # dim 25, n = 12 at tol 1e-12 on the degenerate zero-potential spectrum
     # iterates until W is mostly round-off beside [X, P]; Rayleigh-Ritz takes
@@ -101,13 +101,13 @@ def run(verbose: bool = True) -> int:
             return real_rr(S, kept, k)
 
         op = assemble(None, box, 5)
-        ref = np.linalg.eigvalsh(op.apply(np.eye(25)))[::-1]
+        ref = np.linalg.eigvalsh(op.apply(np.eye(25)[None])[0])[::-1]
         solvers._rayleigh_ritz = checked_rr
         try:
-            r = eigenvalues(op, 12, tol=1e-12, seed=17)
+            r = eigenvalues([op], 12, tol=1e-12, seed=17)
         finally:
             solvers._rayleigh_ritz = real_rr
-        return np.abs(r.values - ref[:12]).max() < 1e-10 and worst[0] <= 1e-12
+        return np.abs(r.values[0] - ref[:12]).max() < 1e-10 and worst[0] <= 1e-12
 
     # a psi^2 potential of band 2N: every grid M > 2N integrates the ascent
     # step exactly, M = 2N does not
@@ -123,7 +123,7 @@ def run(verbose: bool = True) -> int:
         def ascent_step(M):
             V = _normalized_grid(inverse_transform(psi, M).samples ** 2, box.area)
             r, l4sq, grad, *_ = _psi_sq_step(V, box, N, M, 1, 1e-12, None, 0)
-            return np.array([r.values[0], l4sq, grad])
+            return np.array([r.values[0, 0], l4sq, grad])
 
         ref = ascent_step(_ascent_grid(N))
         return (np.abs(ascent_step((2 * N + 1,) * 2) - ref).max() < 1e-12
@@ -135,12 +135,12 @@ def run(verbose: bool = True) -> int:
     def _():
         rect = BoxDomain((0.0, 0.0), (1.0, 1.5))
         op = assemble(SpectralField(rect, NEUMANN, rng.standard_normal((8, 5))), rect, (6, 9))
-        X = rng.standard_normal((op.dim, 3))
-        ref = np.column_stack([
+        X = rng.standard_normal((1, 3, op.dim))
+        ref = np.stack([
             op.diag[0] * x + forward_transform(
                 GridField(rect, inverse_transform(op.coeff_field(x), op._grid_M).samples
                           * op._v_grid[0]), DIRICHLET, op.trunc).coeffs[1:, 1:].ravel()
-            for x in X.T])
+            for x in X[0]])[None]
         return np.abs(op.apply(X) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @check("squared partition sums to 1")

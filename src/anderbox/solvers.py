@@ -65,7 +65,7 @@ def _rayleigh_ritz(S, kept, k):
             np.concatenate([np.arange(k) < kept.sum(axis=1)[:, None], kept_p], axis=1))
 
 
-def _iterate(apply_rows, X, precond, n, tol, which):
+def _iterate(apply_fn, X, precond, n, tol, which):
     """One LOBPCG run of the problems ``which`` from the row blocks X
     (b, k, dim), each until its first n residuals are at most ``tol``:
     Ritz values and unit rows.  ``S`` is the orthonormal basis [X, P, W]
@@ -78,7 +78,7 @@ def _iterate(apply_rows, X, precond, n, tol, which):
     b, k, dim = X.shape
     vals_out, X_out = np.empty((b, k)), np.empty_like(X)
     X, kept = _orthonormal_rows(X)
-    S = np.stack([X, apply_rows(X, which)])
+    S = np.stack([X, apply_fn(X, which)])
     vals, CC, kept = _rayleigh_ritz(S, kept, k)
     live, best, stall = np.arange(b), np.full(b, np.inf), np.zeros(b, dtype=int)
     for _ in range(LOBPCG_MAXITER):
@@ -100,7 +100,7 @@ def _iterate(apply_rows, X, precond, n, tol, which):
         W = R * (precond[:, None, :] * (res > tol)[:, :, None])  # soft locking
         W, kept_w = _orthonormal_rows(W, S[0, :, :2 * k])
         S[0, :, 2 * k:] = W
-        S[1, :, 2 * k:] = apply_rows(W, which)
+        S[1, :, 2 * k:] = apply_fn(W, which)
         vals, CC, kept = _rayleigh_ritz(S, np.concatenate([kept, kept_w], axis=1), k)
     else:
         vals_out[live], X_out[live] = vals, _mT(CC[:, :, :k]) @ S[0]
@@ -112,44 +112,41 @@ def lobpcg_top(apply_fn, n: int, precond: np.ndarray, v0: np.ndarray | None = No
     """Top-n eigenpairs of each of B symmetric problems of one dimension,
     by LOBPCG in one loop over the stack.
 
-    ``apply_fn(block, which)`` maps the (len(which), dim, k) block of the
-    problems ``which`` (indices into the stack) to A times it.  ``precond``
-    (B, dim) is the diagonal of a positive preconditioner for each
-    problem's ``sigma - A``; it pays only if it varies over the wanted top
-    modes, so its shift should be on the scale of the spectral gap there
-    (``hamiltonian.eigenvalues`` takes the Laplacian's top gap, capped at
-    |V|_inf + 1).  The shift never decides acceptance, which is on true
-    residuals.  ``v0`` (B, dim, m), m <= n, seeds the start
-    blocks; other columns are drawn from ``seed`` (an int, or one per
-    problem).  For n > 1 the blocks carry ``GUARD`` extra columns.  A
-    problem is accepted when its true residuals from a fresh apply are at
-    most ``tol``; the others re-run from the blocks they returned, up to
-    ``LOBPCG_RERUNS`` times.
+    Blocks are rows: ``apply_fn(rows, which)`` maps the (len(which), k,
+    dim) row blocks of the problems ``which`` (indices into the stack) to
+    A times them.  ``precond`` (B, dim) is the diagonal of a positive
+    preconditioner for each problem's ``sigma - A``; it pays only if it
+    varies over the wanted top modes, so its shift should be on the scale
+    of the spectral gap there (``hamiltonian.eigenvalues`` takes the
+    Laplacian's top gap, capped at |V|_inf + 1).  The shift never decides
+    acceptance, which is on true residuals.  ``v0`` (B, m, dim), m <= n,
+    seeds the start blocks; other rows are drawn from ``seed`` (an int,
+    or one per problem).  For n > 1 the blocks carry ``GUARD`` extra rows.
+    A problem is accepted when its true residuals from a fresh apply are
+    at most ``tol``; the others re-run from the blocks they returned, up
+    to ``LOBPCG_RERUNS`` times.
 
-    Returns (values (B, n) descending, vectors (B, dim, n), true residuals
-    (B, n)); raises ConvergenceError with the (B, n) residuals on a miss.
+    Returns (values (B, n) descending, vectors (B, n, dim) as rows, true
+    residuals (B, n)); raises ConvergenceError with the (B, n) residuals
+    on a miss.
     """
     B, dim = precond.shape
     k = min(n + GUARD if n > 1 else n, dim)
-    v0 = np.empty((B, 0, dim)) if v0 is None else _mT(np.asarray(v0, dtype=float))[:, :n]
+    v0 = np.empty((B, 0, dim)) if v0 is None else np.asarray(v0, dtype=float)[:, :n]
     X = np.empty((B, k, dim))
-    if v0.shape[1] < k:  # the columns v0 leaves free are drawn
+    if v0.shape[1] < k:  # the rows v0 leaves free are drawn
         X[:] = [np.random.default_rng(int(s)).standard_normal((k, dim))
                 for s in np.broadcast_to(seed, B)]
     X[:, :v0.shape[1]] = v0
 
-    def apply_rows(rows, which):
-        # the solver keeps blocks as rows (b, k, dim), the operator's layout
-        return _mT(apply_fn(_mT(rows), which))
-
     vals, res, todo = np.empty((B, k)), np.full((B, n), np.inf), np.arange(B)
     for _ in range(LOBPCG_RERUNS + 1):
-        vals[todo], X[todo] = _iterate(apply_rows, X[todo], precond[todo], n, tol, todo)
+        vals[todo], X[todo] = _iterate(apply_fn, X[todo], precond[todo], n, tol, todo)
         Xn = X[todo, :n]
-        res[todo] = np.linalg.norm(apply_rows(Xn, todo) - vals[todo, :n, None] * Xn, axis=2)
+        res[todo] = np.linalg.norm(apply_fn(Xn, todo) - vals[todo, :n, None] * Xn, axis=2)
         todo = todo[np.any(res[todo] > tol, axis=1)]
         if not todo.size:
-            return vals[:, :n], _mT(X[:, :n]), res
+            return vals[:, :n], X[:, :n], res
     raise ConvergenceError(
         f"LOBPCG missed tol {tol:g} on {todo.size} of {B} problems after "
         f"{LOBPCG_RERUNS + 1} runs of {LOBPCG_MAXITER} iterations; worst true "

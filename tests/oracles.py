@@ -12,7 +12,8 @@ from scipy import fft as _fft
 from scipy.integrate import simpson, solve_ivp
 from scipy.linalg import eigh
 
-from anderbox.calculus import DyadicPartition, frequency_radii, levels_for, make_partition
+from anderbox.calculus import (DyadicPartition, frequency_radii, levels_for, make_partition,
+                               multiplier)
 from anderbox.errors import ContractError
 from anderbox.geometry import (
     DIRICHLET,
@@ -140,8 +141,6 @@ def ims_fd_residual(psi, ims, k, h=3e-4, Mg=120, margin=0.3):
 
     with the Laplacians of the products evaluated by 4th-order finite
     differences (independent of the spectral machinery)."""
-    from anderbox.calculus import laplacian
-
     lo0 = ims.r * k[0] - ims.a - margin
     lo1 = ims.r * k[1] - ims.a - margin
     side = ims.r + ims.a + 2 * margin
@@ -196,7 +195,7 @@ def dense_matrix(op):
     apply's transients stay small at any dim: a reference for dense LAPACK
     solves and entry-wise checks."""
     eye = np.eye(op.dim)
-    return np.hstack([op.apply(eye[:, i:i + 64]) for i in range(0, op.dim, 64)])
+    return np.vstack([op.apply(eye[None, i:i + 64])[0] for i in range(0, op.dim, 64)]).T
 
 
 def min_max(op, n, trial):
@@ -209,11 +208,16 @@ def min_max(op, n, trial):
     G = V.T @ V
     if np.linalg.cond(G) > 1e12:
         raise ContractError("trial subspace is (numerically) rank-deficient")
-    H = V.T @ op.apply(V)
+    H = V.T @ op.apply(V.T[None])[0].T
     return float(eigh(0.5 * (H + H.T), G, eigvals_only=True)[0])
 
 
 # -- library helpers that only the tests use ------------------------------
+
+def laplacian(u: SpectralField) -> SpectralField:
+    """The Laplacian by its symbol -pi^2 |k/s|^2."""
+    return multiplier(u, lambda x1, x2: -np.pi**2 * (x1**2 + x2**2))
+
 
 @dataclass(frozen=True)
 class BesovSpec:

@@ -3,7 +3,6 @@ import pytest
 
 from anderbox.calculus import (
     apply_block,
-    laplacian,
     levels_for,
     make_partition,
     multiplier,
@@ -18,7 +17,7 @@ from anderbox.geometry import (
     inverse_transform,
 )
 
-from oracles import BesovSpec, besov_norm, holder_norm, sobolev_norm
+from oracles import BesovSpec, besov_norm, holder_norm, laplacian, sobolev_norm
 
 
 BOX = BoxDomain.square(1.0)

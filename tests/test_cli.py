@@ -1,6 +1,7 @@
 import json
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 
@@ -107,11 +108,17 @@ class TestCLI:
         ["rate-inf", "--set", "target=nan"],
         ["growth", "--set", "slack=nan"],
         ["rate-inf", "--set", "L=4", "--set", "target=-5"],
+        ["box-bounds", "--set", "L=1", "--set", "r=2", "--set", "a_overlap=0.5"],
+        ["box-bounds", "--set", "L=2.5", "--set", "r=2", "--set", "a_overlap=0.5"],
+        ["box-bounds", "--set", "L=2", "--set", "r=1", "--set", "a_overlap=1"],
     ])
     def test_bad_input_exits_nonzero(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path)])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if argv[0] == "box-bounds":  # the message names the tile size
+            assert re.search(r"\br\b", err.split("error:")[1])
 
     def test_nonconvergence_exits_3(self, tmp_path, capsys, monkeypatch):
         def failing(*args, **kwargs):
@@ -151,8 +158,8 @@ class TestCLI:
         # the study box Q_2 centred in the parent [0, 6]^2, 16 modes per axis
         study = BoxDomain((2.0, 2.0), (2.0, 2.0))
         pot = restrict(sample(BoxDomain.square(6.0), 48, 1), 0.25, study, 32, INDICATOR)
-        direct = hamiltonian.eigenvalues(hamiltonian.assemble(pot * 2.0, study, 16), 1,
-                                         tol=1e-10).values[0]
+        direct = hamiltonian.eigenvalues([hamiltonian.assemble(pot * 2.0, study, 16)], 1,
+                                         tol=1e-10).values[0, 0]
         lam_2 = lam1(2)
         assert lam_2 != lam1(1)
         assert abs(lam_2 - direct) <= 1e-8

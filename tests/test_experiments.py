@@ -228,7 +228,7 @@ class TestAscentGrid:
     def _step(psi, N, M):
         V = _normalized_grid(inverse_transform(psi, M).samples ** 2, psi.box.area)
         r, l4sq, grad, *_ = _psi_sq_step(V, psi.box, N, M, 1, 1e-12, None, 0)
-        return np.array([r.values[0], l4sq, grad])
+        return np.array([r.values[0, 0], l4sq, grad])
 
     def test_fast_grid_matches_raw_grid(self):
         N = 16

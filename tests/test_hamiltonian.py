@@ -49,17 +49,13 @@ class TestAssemble:
         for L in (1.0, 2.0, 4.0):
             box = BoxDomain.square(L)
             op = assemble(None, box, 16)
-            vals = eigenvalues(op, 3).values
+            vals = eigenvalues([op], 3).values[0]
             exact = np.array([-2.0, -5.0, -5.0]) * np.pi**2 / L**2
             assert np.abs(vals - exact).max() < 1e-8
 
     def test_constant_potential_shifts(self):
-        V = neumann_field(8, seed=0)
-        base = eigenvalues(assemble(V, BOX, 12), 4).values
-        shifted = eigenvalues(assemble(V, BOX, 12, shift=-2.5), 4).values
-        assert np.abs(shifted - (base + 2.5)).max() < 1e-10
-        plus_const = eigenvalues(assemble(3.0, BOX, 12), 3).values
-        lap = eigenvalues(assemble(None, BOX, 12), 3).values
+        plus_const = eigenvalues([assemble(3.0, BOX, 12)], 3).values[0]
+        lap = eigenvalues([assemble(None, BOX, 12)], 3).values[0]
         assert np.abs(plus_const - (lap + 3.0)).max() < 1e-12
 
     def test_matrix_symmetric(self):
@@ -81,15 +77,16 @@ class TestAssemble:
 
 
 def transform_apply(op, X):
-    """A X for a single-problem operator, one column at a time through the
-    public (pocketfft) transforms: the reference for the apply's tables."""
-    cols = []
-    for x in X.T:
+    """A times the rows X (k, dim) for a single-problem operator, one row
+    at a time through the public (pocketfft) transforms: the reference for
+    the apply's tables."""
+    rows = []
+    for x in X:
         u = inverse_transform(op.coeff_field(x), op._grid_M)
         w = forward_transform(GridField(op.box, u.samples * op._v_grid[0]),
                               DIRICHLET, op.trunc)
-        cols.append(op.diag[0] * x + w.coeffs[1:, 1:].ravel())
-    return np.column_stack(cols)
+        rows.append(op.diag[0] * x + w.coeffs[1:, 1:].ravel())
+    return np.array(rows)
 
 
 class TestBlockApply:
@@ -104,14 +101,12 @@ class TestBlockApply:
     def test_block_matches_per_column_transforms(self):
         op = self.rect_operator()
         assert op.trunc == (6, 9) and op._grid_M[0] != op._grid_M[1]
-        X = np.random.default_rng(13).standard_normal((op.dim, 5))
-        ref = transform_apply(op, X)
+        X = np.random.default_rng(13).standard_normal((1, 5, op.dim))
+        ref = transform_apply(op, X[0])
         scale = np.abs(ref).max()
-        assert np.abs(op.apply(X) - ref).max() <= 1e-12 * scale
-        assert op.apply(X[:, 0]).shape == (op.dim,)
-        assert op.apply(X[:, :1]).shape == (op.dim, 1)
-        assert np.abs(op.apply(X[:, 0]) - ref[:, 0]).max() <= 1e-12 * scale
-        assert np.abs(op.apply(X[:, :1])[:, 0] - ref[:, 0]).max() <= 1e-12 * scale
+        assert np.abs(op.apply(X)[0] - ref).max() <= 1e-12 * scale
+        assert op.apply(X[:, :1]).shape == (1, 1, op.dim)
+        assert np.abs(op.apply(X[:, :1])[0, 0] - ref[0]).max() <= 1e-12 * scale
 
     def test_lobpcg_applies_whole_blocks(self):
         op = self.rect_operator()
@@ -124,9 +119,9 @@ class TestBlockApply:
         precond = 1.0 / (-op.diag + op.diag.max() + np.abs(op._v_grid).max() + 1.0)
         vals, _, res = lobpcg_top(counting_apply, 3, precond, tol=1e-9)
         assert res.max() <= 1e-9
-        # one call per (problems, dim, columns) block: n = 3 plus 2 guards
-        assert shapes and all(len(s) == 3 and s[:2] == (1, op.dim) for s in shapes)
-        assert any(s[2] == 5 for s in shapes)
+        # one call per (problems, rows, dim) block: n = 3 plus 2 guards
+        assert shapes and all(len(s) == 3 and (s[0], s[2]) == (1, op.dim) for s in shapes)
+        assert any(s[1] == 5 for s in shapes)
         ref = np.linalg.eigvalsh(dense_matrix(op))[::-1][:3]
         assert np.abs(vals[0] - ref).max() < 1e-9
 
@@ -143,15 +138,15 @@ class TestSineTableApply:
         rng = np.random.default_rng(N[0] + N[1])
         op = assemble(rng.standard_normal(M), box, N)
         assert op._grid_M == M
-        X = rng.standard_normal((op.dim, 4))
-        got = op.apply(X)
-        ref = transform_apply(op, X)
+        X = rng.standard_normal((1, 4, op.dim))
+        got = op.apply(X)[0]
+        ref = transform_apply(op, X[0])
         scale = np.abs(ref).max()
         assert np.abs(got - ref).max() <= 1e-12 * scale
-        assert np.abs(op.apply(X[:, 1]) - ref[:, 1]).max() <= 1e-12 * scale
+        assert np.abs(op.apply(X[:, 1:2])[0, 0] - ref[1]).max() <= 1e-12 * scale
         A = dense_matrix(op)
         assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
-        assert np.abs(A @ X - got).max() <= 1e-12 * scale
+        assert np.abs(X[0] @ A.T - got).max() <= 1e-12 * scale
 
     def test_stack_of_block_groups_with_permuted_which(self):
         box, N, M = BoxDomain.square(1.0), (20, 20), (45, 45)
@@ -161,7 +156,7 @@ class TestSineTableApply:
         k = TRANSFORM_BLOCK // (M[0] * M[1]) // 2
         step = TRANSFORM_BLOCK // (k * M[0] * M[1])
         assert 1 < step < 5  # three groups of problems per apply
-        X = np.random.default_rng(65).standard_normal((5, st.dim, k))
+        X = np.random.default_rng(65).standard_normal((5, k, st.dim))
         ref = np.stack([transform_apply(op, x) for op, x in zip(ops, X)])
         scale = np.abs(ref).max()
         for which in (np.array([4, 1, 3, 0, 2]), np.array([2, 0, 3])):
@@ -170,7 +165,7 @@ class TestSineTableApply:
     def test_tables_read_only_and_cached(self):
         hamiltonian._sine_table.cache_clear()
         op = assemble(neumann_field(6, seed=3), BOX, (5, 7))
-        X = np.random.default_rng(66).standard_normal((op.dim, 2))
+        X = np.random.default_rng(66).standard_normal((1, 2, op.dim))
         first = op.apply(X)
         assert np.array_equal(op.apply(X), first)
         info = hamiltonian._sine_table.cache_info()
@@ -201,16 +196,16 @@ class TestEigenvalues:
             coeffs = rng.standard_normal((7, 7))
             Vb = SpectralField(BoxDomain.square(L), NEUMANN, coeffs)
             Vs = SpectralField(BoxDomain.square(L / beta), NEUMANN, coeffs * beta)
-            eb = eigenvalues(assemble(Vb, BoxDomain.square(L), 20), 5).values
-            es = eigenvalues(assemble(Vs, BoxDomain.square(L / beta), 20), 5).values
+            eb = eigenvalues([assemble(Vb, BoxDomain.square(L), 20)], 5).values[0]
+            es = eigenvalues([assemble(Vs, BoxDomain.square(L / beta), 20)], 5).values[0]
             rel = np.abs(eb - es / beta**2) / np.abs(eb)
             assert rel.max() < 1e-8
 
     def test_iterative_matches_dense(self):
         op = assemble(neumann_field(10, seed=5), BOX, 14)
         dense = np.linalg.eigvalsh(dense_matrix(op))[::-1][:5]
-        free = eigenvalues(op, 5, tol=1e-10)
-        assert np.abs(free.values - dense).max() < 1e-9
+        free = eigenvalues([op], 5, tol=1e-10)
+        assert np.abs(free.values[0] - dense).max() < 1e-9
         assert free.residuals.max() < 1e-9
 
     @pytest.mark.parametrize("n, N", [(n, N) for n in (1, 4) for N in (8, 16, 32)]
@@ -226,40 +221,38 @@ class TestEigenvalues:
         V = None if seed is None else neumann_field(6, seed=100 + seed, box=box)
         free = assemble(V, box, N)
         ref = np.linalg.eigvalsh(dense_matrix(free))[::-1][:n]
-        r = eigenvalues(free, n, vectors=True, tol=tol, seed=N + n)
+        r = eigenvalues([free], n, tol=tol, seed=N + n)
         # the same problem between two others in one stack
         M = free._grid_M
         others = [assemble(np.random.default_rng(200 + i).standard_normal(M), box, N,
                            grid_M=M) for i in range(2)]
-        rs = eigenvalues([others[0], free, others[1]], n, vectors=True, tol=tol,
-                         seed=[1, N + n, 2])
-        for r in (r, rs[1]):
-            assert np.abs(r.values - ref).max() < 1e-9
-            AV = np.column_stack([free.apply(v) for v in r.vectors.T])
-            true_res = np.linalg.norm(AV - r.vectors * r.values, axis=0)
+        rs = eigenvalues([others[0], free, others[1]], n, tol=tol, seed=[1, N + n, 2])
+        for vals, vecs in ((r.values[0], r.vectors[0]), (rs.values[1], rs.vectors[1])):
+            assert np.abs(vals - ref).max() < 1e-9
+            true_res = np.linalg.norm(free.apply(vecs[None])[0] - vals[:, None] * vecs, axis=1)
             assert true_res.max() <= tol
-            assert np.allclose(np.linalg.norm(r.vectors, axis=0), 1.0)
-        for o, ro in zip(others, rs[::2]):
+            assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0)
+        for o, vals_o in zip(others, rs.values[::2]):
             ref_o = np.linalg.eigvalsh(dense_matrix(o))[::-1][:n]
-            assert np.abs(ro.values - ref_o).max() < 1e-9
+            assert np.abs(vals_o - ref_o).max() < 1e-9
 
     def test_multiplicity_reported_adjacent(self):
-        vals = eigenvalues(assemble(None, BOX, 12), 4).values
+        vals = eigenvalues([assemble(None, BOX, 12)], 4).values[0]
         assert vals[1] == pytest.approx(vals[2], abs=1e-10)
 
     def test_request_bounds(self):
         op = assemble(None, BOX, 4)
         with pytest.raises(ContractError):
-            eigenvalues(op, 0)
+            eigenvalues([op], 0)
         with pytest.raises(ContractError):
-            eigenvalues(op, op.dim + 1)
+            eigenvalues([op], op.dim + 1)
 
     def test_nonconvergence_reports_residuals(self):
         op = assemble(neumann_field(8, seed=6), BOX, 12)
         with pytest.raises(ConvergenceError) as err:
-            eigenvalues(op, 3, tol=1e-30)
+            eigenvalues([op], 3, tol=1e-30)
         assert err.value.residuals is not None
-        assert len(err.value.residuals) == 3
+        assert np.shape(err.value.residuals) == (1, 3)
 
 
 class TestStacks:
@@ -289,16 +282,16 @@ class TestStacks:
         st = stack(ops)
         assert st.diag.shape == (3, ops[0].dim)
         assert st._v_grid.shape == (3, *ops[0]._grid_M)
-        X = np.random.default_rng(31).standard_normal((3, ops[0].dim, 4))
-        ref = np.stack([op.apply(x) for op, x in zip(ops, X)])
+        X = np.random.default_rng(31).standard_normal((3, 4, ops[0].dim))
+        ref = np.concatenate([op.apply(x[None]) for op, x in zip(ops, X)])
         scale = np.abs(ref).max()
         assert np.abs(st.apply(X) - ref).max() <= 1e-12 * scale
         assert np.abs(st.apply(X[[2, 0]], np.array([2, 0])) - ref[[2, 0]]).max() <= 1e-12 * scale
         # enough columns that every problem is a transform block of its own
         M0, M1 = st._grid_M
         k = TRANSFORM_BLOCK // (M0 * M1) // 2 + 1
-        Y = np.random.default_rng(32).standard_normal((3, st.dim, k))
-        ref = np.stack([op.apply(y) for op, y in zip(ops, Y)])
+        Y = np.random.default_rng(32).standard_normal((3, k, st.dim))
+        ref = np.concatenate([op.apply(y[None]) for op, y in zip(ops, Y)])
         assert np.abs(st.apply(Y) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_stack_contract(self):
@@ -316,30 +309,30 @@ class TestStacks:
     @pytest.mark.parametrize("n", [1, 4])
     def test_values_independent_of_the_stack(self, n, monkeypatch):
         ops = self.noise_ops(4)
-        alone = [eigenvalues(op, n, vectors=True, tol=1e-9, seed=7) for op in ops]
+        alone = [eigenvalues([op], n, tol=1e-9, seed=7) for op in ops]
         for members in ([0, 1, 2, 3], [3, 1], [2, 0, 3]):
             got = eigenvalues([ops[i] for i in members], n, tol=1e-9, seed=7)
-            for i, r in zip(members, got):
-                assert np.abs(r.values - alone[i].values).max() <= 1e-12
-                assert r.residuals.shape == (n,) and r.residuals.max() <= 1e-9
+            for i, vals, res in zip(members, got.values, got.residuals):
+                assert np.abs(vals - alone[i].values[0]).max() <= 1e-12
+                assert res.shape == (n,) and res.max() <= 1e-9
         # warm from each problem's own vectors: they fill the start block for
         # n = 1, so nothing is drawn; for n = 4 the two guard columns are the
         # rows a cold start draws from the same seed
         starts, draws = [], []
         real_iterate, real_rng = solvers._iterate, np.random.default_rng
 
-        def recording(apply_rows, X, *args):
+        def recording(apply_fn, X, *args):
             starts.append(X.copy())
-            return real_iterate(apply_rows, X, *args)
+            return real_iterate(apply_fn, X, *args)
 
         monkeypatch.setattr(solvers, "_iterate", recording)
         monkeypatch.setattr(np.random, "default_rng", lambda s: draws.append(s) or real_rng(s))
-        v0 = np.stack([r.vectors for r in alone])
+        v0 = np.concatenate([r.vectors for r in alone])
         got = eigenvalues(ops, n, tol=1e-9, seed=[7, 8, 9, 10], v0=v0)
-        for r, a in zip(got, alone):
-            assert np.abs(r.values - a.values).max() <= 1e-12
+        for vals, a in zip(got.values, alone):
+            assert np.abs(vals - a.values[0]).max() <= 1e-12
         assert draws == ([] if n == 1 else [7, 8, 9, 10])
-        assert np.array_equal(starts[0][:, :n], np.swapaxes(v0, 1, 2))
+        assert np.array_equal(starts[0][:, :n], v0)
         for X, s in zip(starts[0], draws):
             assert np.array_equal(X[n:], real_rng(s).standard_normal((n + 2, ops[0].dim))[n:])
 
@@ -362,9 +355,9 @@ class TestStacks:
 
         monkeypatch.setattr(solvers, "_rayleigh_ritz", checking)
         if N is None:
-            rs = eigenvalues(self.noise_ops(4), n, tol=tol, seed=7)
+            rs = [eigenvalues(self.noise_ops(4), n, tol=tol, seed=7)]
         else:
-            rs = [eigenvalues(assemble(V, BOX, N), n, tol=tol, seed=N + n)
+            rs = [eigenvalues([assemble(V, BOX, N)], n, tol=tol, seed=N + n)
                   for V in (None, neumann_field(6, 100), neumann_field(6, 101))]
         assert all(r.residuals.max() <= tol for r in rs)
         assert len(worst) > 2 and max(worst) <= 1e-12
@@ -378,9 +371,9 @@ class TestStacks:
         monkeypatch.setattr(solvers, "_rayleigh_ritz",
                             lambda *args: calls.append(1) or real(*args))
         op = assemble(None, BOX, 8)
-        r = eigenvalues(op, 16, tol=1e-12, seed=24)
+        r = eigenvalues([op], 16, tol=1e-12, seed=24)
         assert r.residuals.max() <= 1e-12 and len(calls) <= 40
-        assert np.abs(r.values - np.sort(op.diag[0])[::-1][:16]).max() <= 1e-9
+        assert np.abs(r.values[0] - np.sort(op.diag[0])[::-1][:16]).max() <= 1e-9
 
     def test_unreachable_tol_reports_each_problem(self):
         ops = self.noise_ops(2)
@@ -419,7 +412,7 @@ class TestPreconditionerShift:
         flat = 1.0 / (st.diag.max(axis=1, keepdims=True) - st.diag + v_max + 1.0)
         (vals, _, _), old = self.applies(st.apply, n, flat, tol=1e-8,
                                          seed=np.broadcast_to(seed, len(ops)))
-        assert np.abs(np.array([r.values for r in rs]) - vals).max() < 1e-9
+        assert np.abs(rs.values - vals).max() < 1e-9
         return new[0], old
 
     def test_fewer_applies_on_psi_sq_ascent_potential(self, monkeypatch):
@@ -450,15 +443,15 @@ class TestMinMax:
     def test_top_eigenspace_is_sharp(self):
         V = neumann_field(8, seed=7)
         op = assemble(V, BOX, 10)
-        r = eigenvalues(op, 4, vectors=True)
+        r = eigenvalues([op], 4)
         for n in (1, 2, 4):
-            assert min_max(op, n, r.vectors[:, :n]) == pytest.approx(
-                r.values[n - 1], abs=1e-10)
+            assert min_max(op, n, r.vectors[0, :n].T) == pytest.approx(
+                r.values[0, n - 1], abs=1e-10)
 
     def test_random_subspaces_lower_bound(self):
         V = neumann_field(8, seed=8)
         op = assemble(V, BOX, 10)
-        lam3 = eigenvalues(op, 3).values[2]
+        lam3 = eigenvalues([op], 3).values[0, 2]
         rng = np.random.default_rng(9)
         for _ in range(100):
             W = rng.standard_normal((op.dim, 3))
@@ -469,7 +462,7 @@ class TestMinMax:
         op = assemble(V, BOX, 8)
         rng = np.random.default_rng(11)
         x = rng.standard_normal((op.dim, 1))
-        rq = float(x[:, 0] @ op.apply(x[:, 0]) / (x[:, 0] @ x[:, 0]))
+        rq = float(x[:, 0] @ op.apply(x.T[None])[0, 0] / (x[:, 0] @ x[:, 0]))
         assert min_max(op, 1, x) == pytest.approx(rq, rel=1e-12)
 
     def test_rank_deficient_rejected(self):
@@ -532,8 +525,8 @@ class TestIMSPartition:
 class TestBoxBounds:
     def test_zero_potential_inequalities(self):
         # explicit Laplacian values: monotonicity and disjoint lower bound
-        lamL = eigenvalues(assemble(None, BoxDomain.square(4.0), 16), 4).values
-        lamr = eigenvalues(assemble(None, BoxDomain.square(2.0), 16), 1).values
+        lamL = eigenvalues([assemble(None, BoxDomain.square(4.0), 16)], 4).values[0]
+        lamr = eigenvalues([assemble(None, BoxDomain.square(2.0), 16)], 1).values[0]
         assert lamr[0] <= lamL[0] + 1e-12
         assert lamL[3] >= lamr[0] - 1e-12  # 4 disjoint tiles, all equal
 
@@ -544,13 +537,13 @@ class TestBoxBounds:
         V = neumann_field(4, seed=15, box=box)
         N = 20
         op = assemble(V, box, N)
-        lam = eigenvalues(op, 1, tol=1e-9).values[0]
+        lam = eigenvalues([op], 1, tol=1e-9).values[0, 0]
         part = ims_partition(r, a)
         M = op._grid_M
         phi = part.phi_grid(box, M)
         vg = potential_on_grid(V, box, M)
-        lam_pen = eigenvalues(assemble(vg - phi, box, N, grid_M=M), 1,
-                              tol=1e-9).values[0]
+        lam_pen = eigenvalues([assemble(vg - phi, box, N, grid_M=M)], 1,
+                              tol=1e-9).values[0, 0]
         assert lam <= lam_pen + phi.max() + 1e-9
 
     def test_coupled_noise_draws(self):
@@ -568,9 +561,9 @@ class TestNoiseOperator:
         # the field renormalization against subtracting only the lattice
         # constant c_{eps,L}
         of = operator_from_noise(en, 10)
-        oc = assemble(en.xi, BOX, 10, shift=en.c_subtracted)
-        vf = eigenvalues(of, 1).values[0]
-        vc = eigenvalues(oc, 1).values[0]
+        oc = assemble(en.xi, BOX, 10)
+        vf = eigenvalues([of], 1).values[0, 0]
+        vc = eigenvalues([oc], 1).values[0, 0] - en.c_subtracted
         assert vf != pytest.approx(vc, abs=1e-6)  # the x-dependent layer matters
 
     def test_translation_invariance_in_law(self):
@@ -585,7 +578,7 @@ class TestNoiseOperator:
                 sub = BoxDomain(y, (L, L))
                 pot = restrict(draw, eps, sub, 2 * N, INDICATOR)
                 op = assemble(pot, sub, N)
-                vals.append(eigenvalues(op, 1, tol=1e-8).values[0])
+                vals.append(eigenvalues([op], 1, tol=1e-8).values[0, 0])
         p = stats.ks_2samp(a_vals, b_vals).pvalue
         assert p >= 0.01
 
